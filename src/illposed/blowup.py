@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
+from . import _check
 from .ode import IVP, Trajectory, integrate_euler, integrate_rk4
 
 __all__ = [
@@ -72,7 +73,7 @@ class _LevelRun(NamedTuple):
 
 def _grid_steps(x0: float, x_max: float, h: float) -> int:
     # largest n with x0 + n*h <= x_max, up to a hair of slop
-    n = int(math.floor((x_max - x0) / h + 1e-9))
+    n = int(math.floor(_check.finite(f"number of steps for step size {h!r}", (x_max - x0) / h + 1e-9)))
     if n < 1:
         raise ValueError(f"step size {h!r} does not fit in the interval [{x0!r}, {x_max!r}]")
     return n
@@ -89,16 +90,6 @@ def _crossing(trajectory: Trajectory, threshold: float) -> float | None:
     return None
 
 
-def _check_common(ivp: IVP, x_max: float, threshold: float) -> tuple[float, float]:
-    x_max = float(x_max)
-    threshold = float(threshold)
-    if not math.isfinite(x_max) or x_max <= ivp.x0:
-        raise ValueError(f"x_max must be finite and greater than x0={ivp.x0!r}")
-    if not math.isfinite(threshold) or threshold <= 0.0:
-        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    return x_max, threshold
-
-
 def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> float | None:
     """Smallest grid abscissa where the Euler trajectory has |y| >= threshold.
 
@@ -106,7 +97,9 @@ def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> fl
     way to x_max.  A run that terminates early (overflow guard, singular
     right-hand side) counts as crossing at its terminating step.
     """
-    x_max, threshold = _check_common(ivp, x_max, threshold)
+    x_max = _check.above("x_max", x_max, "x0", ivp.x0)
+    threshold = _check.positive("threshold", threshold)
+    h = _check.positive("step size", h)
     trajectory = integrate_euler(ivp, h, _grid_steps(ivp.x0, x_max, h))
     return _crossing(trajectory, threshold)
 
@@ -185,12 +178,10 @@ def estimate_blowup(
     and RK4 to agree qualitatively; BoundedOnInterval requires no level
     of either integrator to cross.  Everything else is Inconclusive.
     """
-    x_max, threshold = _check_common(ivp, x_max, threshold)
-    h0 = float(h0)
-    if not math.isfinite(h0) or h0 <= 0.0:
-        raise ValueError(f"h0 must be positive and finite, got {h0!r}")
-    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 3:
-        raise ValueError(f"levels must be an integer of at least 3, got {levels!r}")
+    x_max = _check.above("x_max", x_max, "x0", ivp.x0)
+    threshold = _check.positive("threshold", threshold)
+    h0 = _check.positive("h0", h0)
+    levels = _check.integer("levels", levels, 3)
 
     euler_runs = _run_levels(ivp, x_max, threshold, h0, levels, integrate_euler)
     rk4_runs = _run_levels(ivp, x_max, threshold, h0, levels, integrate_rk4)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from . import _check
 from ._fmt import format_float
 
 __all__ = [
@@ -65,12 +66,9 @@ class CoolingObservations:
     T2: float
 
     def __post_init__(self):
-        for name in ("t1", "T0", "T1", "T2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.t1 <= 0.0:
-            raise ValueError(f"t1 must be positive, got {self.t1!r}")
+        object.__setattr__(self, "t1", _check.positive("t1", self.t1))
+        for name in ("T0", "T1", "T2"):
+            object.__setattr__(self, name, _check.finite(name, getattr(self, name)))
 
     @property
     def monotone_cooling(self) -> bool:
@@ -106,6 +104,7 @@ def classify(
 
 def fit_three_point(obs: CoolingObservations, floor: float = ABSOLUTE_ZERO_C) -> CoolingFit:
     """Exact three-point fit, or a degenerate verdict when none exists."""
+    floor = _check.finite("floor", floor)
     if not obs.monotone_cooling:
         return CoolingFit(None, None, FeasibilityVerdict.NON_MONOTONE_DATA)
     d = 2.0 * obs.T1 - obs.T0 - obs.T2
@@ -149,11 +148,9 @@ def bisect_root(
     Iteration count is part of the contract: callers assert on it to
     keep the interval arithmetic honest.
     """
-    lo, hi, tol = float(lo), float(hi), float(tol)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"need a finite interval with lo < hi, got [{lo!r}, {hi!r}]")
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    lo = _check.finite("lo", lo)
+    hi = _check.above("hi", hi, "lo", lo)
+    tol = _check.positive("tol", tol)
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -192,11 +189,9 @@ def feasible_midpoint_range(
     where c_high solves tm_of_midpoint(c) = floor; this returns
     (T2, c_high) with the left end excluded.
     """
-    T0, T2, floor = float(T0), float(T2), float(floor)
-    if not (math.isfinite(T0) and math.isfinite(T2)) or T0 <= T2:
-        raise ValueError(f"endpoint readings must be finite with T0 > T2, got {T0!r}, {T2!r}")
-    if not math.isfinite(floor):
-        raise ValueError(f"floor must be finite, got {floor!r}")
+    T2 = _check.finite("T2", T2)
+    T0 = _check.above("T0", T0, "T2", T2)
+    floor = _check.finite("floor", floor)
     if T2 - floor <= 0.0:
         raise DiagnosticError(
             f"floor {floor!r} is not below the final reading T2={T2!r}; no midpoint reading is feasible"
@@ -205,8 +200,10 @@ def feasible_midpoint_range(
 
     def gap(c: float) -> float:
         tm = tm_of_midpoint(c, T0, T2)
-        if tm is None:
-            return -math.inf  # the pole sits on the infeasible side
+        # the pole sits on the infeasible side; at c = mid the rounded
+        # 2*c - T0 - T2 can come out a hair positive instead of 0
+        if tm is None or c >= mid:
+            return -math.inf
         return tm - floor
 
     root, _ = bisect_root(gap, T2, mid, tol)
@@ -240,11 +237,9 @@ def sweep_csv(
     """Fit across n midpoint readings strictly between T2 and the chord
     midpoint, one CSV row per reading; the tail rows walk into the
     infeasible band."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    T0, T2 = float(T0), float(T2)
-    if not (math.isfinite(T0) and math.isfinite(T2)) or T0 <= T2:
-        raise ValueError(f"endpoint readings must be finite with T0 > T2, got {T0!r}, {T2!r}")
+    n = _check.integer("n", n, 1)
+    T2 = _check.finite("T2", T2)
+    T0 = _check.above("T0", T0, "T2", T2)
     mid = 0.5 * (T0 + T2)
     step = (mid - T2) / (n + 1)
     lines = ["c,T_M,k,verdict"]

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _check
 from ._fmt import format_float
 from .expr import (
     Binary,
@@ -35,7 +36,6 @@ from .expr import (
     compile_array,
     compile_scalar,
     evaluate,
-    free_variables,
     parse,
 )
 
@@ -94,12 +94,6 @@ class LimitVerdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _check_f(f: Expression) -> None:
-    extra = sorted(free_variables(f) - {"x", "y"})
-    if extra:
-        raise ValueError(f"f uses variables other than x and y: {', '.join(extra)}")
-
-
 @dataclass(frozen=True)
 class Trajectory2D:
     """A path t -> (x(t), y(t)) that approaches the origin as t -> 0+."""
@@ -109,9 +103,7 @@ class Trajectory2D:
     label: str
 
     def __post_init__(self):
-        extra = sorted((free_variables(self.x_of_t) | free_variables(self.y_of_t)) - {"t"})
-        if extra:
-            raise ValueError(f"path uses variables other than t: {', '.join(extra)}")
+        _check.variables("path", ("t",), self.x_of_t, self.y_of_t)
         try:
             tail = self._norm(1e-6)
         except EvalError as err:
@@ -180,7 +172,7 @@ def trajectory_from_text(x_text: str, y_text: str, label: str | None = None) -> 
 
 def line_trajectory(slope: float) -> Trajectory2D:
     """The straight path x = t, y = slope*t."""
-    slope = float(slope)
+    slope = _check.finite("slope", slope)
     if slope == 1.0:
         label = "y=x"
     elif slope == -1.0:
@@ -197,9 +189,9 @@ def level_curve_trajectory(a: float) -> Trajectory2D:
     back shows f equals a at every point of the curve, yet the curve
     passes through the origin for every nonzero a.
     """
-    a = float(a)
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"level value must be nonzero and finite, got {a!r}")
+    a = _check.finite("level value", a)
+    if a == 0.0:
+        raise ValueError("level value must be nonzero")
     t = Variable("t")
     y = Binary("/", Binary("*", _number(a), t), Binary("-", t, _number(a)))
     return Trajectory2D(t, y, f"level curve a={a:g}")
@@ -219,15 +211,7 @@ def default_trajectories() -> list[Trajectory2D]:
 
 
 def _check_schedule(schedule: Sequence[float]) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in schedule)
-    if len(ts) < 4:
-        raise ValueError("schedule needs at least 4 points")
-    for t in ts:
-        if not math.isfinite(t) or t <= 0.0:
-            raise ValueError(f"schedule values must be positive, got {t!r}")
-    for a, b in zip(ts, ts[1:]):
-        if b >= a:
-            raise ValueError("schedule must decrease strictly")
+    ts = _check.decreasing("schedule", schedule, 4)
     if ts[-1] >= 1e-8:
         raise ValueError(f"schedule must end below 1e-8, ends at {ts[-1]!r}")
     return ts
@@ -245,7 +229,7 @@ def limit_along(
     paths that dodge the domain of f) is Inconclusive.  Samples where f
     or the path is undefined are skipped and noted, not fatal.
     """
-    _check_f(f)
+    _check.variables("f", ("x", "y"), f)
     ts = _check_schedule(schedule)
     fn = compile_scalar(f, ("x", "y"))
     x_of = compile_scalar(trajectory.x_of_t, ("t",))
@@ -356,21 +340,10 @@ def angular_bound_scan(
     matters: a pole hiding between grid angles needs n_angles on the
     order of the cap before the ratio test can see it.
     """
-    _check_f(f)
-    rs = tuple(float(r) for r in radii)
-    if not rs:
-        raise ValueError("at least one radius is required")
-    for r in rs:
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValueError(f"radii must be positive, got {r!r}")
-    for a, b in zip(rs, rs[1:]):
-        if b >= a:
-            raise ValueError("radii must decrease strictly")
-    if not isinstance(n_angles, int) or isinstance(n_angles, bool) or n_angles < 360:
-        raise ValueError(f"n_angles must be an integer of at least 360, got {n_angles!r}")
-    cap = float(cap)
-    if not math.isfinite(cap) or cap <= 0.0:
-        raise ValueError(f"cap must be positive and finite, got {cap!r}")
+    _check.variables("f", ("x", "y"), f)
+    rs = _check.decreasing("radii", radii, 1)
+    n_angles = _check.integer("n_angles", n_angles, 360)
+    cap = _check.positive("cap", cap)
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
@@ -408,12 +381,9 @@ def implicit_zero_scan(
     whose centre falls outside the disk of radius R.  Returned cell
     centres are sorted by x then y.
     """
-    _check_f(F)
-    R = float(R)
-    if not math.isfinite(R) or R <= 0.0:
-        raise ValueError(f"R must be positive and finite, got {R!r}")
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 100:
-        raise ValueError(f"grid_n must be an integer of at least 100, got {grid_n!r}")
+    _check.variables("F", ("x", "y"), F)
+    R = _check.positive("R", R)
+    grid_n = _check.integer("grid_n", grid_n, 100)
 
     xs = np.linspace(-R, R, grid_n)
     grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from . import _check
 from ._fmt import format_float
-from .expr import EvalError, Expression, compile_scalar, evaluate, free_variables
+from .expr import EvalError, Expression, compile_scalar, evaluate
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -52,13 +53,9 @@ class IVP:
     y0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "y0", float(self.y0))
-        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
-            raise ValueError("initial condition must be finite")
-        extra = sorted(free_variables(self.rhs) - {"x", "y"})
-        if extra:
-            raise ValueError(f"right-hand side uses variables other than x and y: {', '.join(extra)}")
+        object.__setattr__(self, "x0", _check.finite("x0", self.x0))
+        object.__setattr__(self, "y0", _check.finite("y0", self.y0))
+        _check.variables("right-hand side", ("x", "y"), self.rhs)
 
 
 @dataclass(frozen=True)
@@ -77,19 +74,6 @@ class VariabilityRow(NamedTuple):
     h: float
     y_at_target: float | None
     escaped: bool
-
-
-def _check_step(h: float) -> float:
-    h = float(h)
-    if not math.isfinite(h) or h <= 0.0:
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
-    return h
-
-
-def _check_count(n_steps: int) -> int:
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
-        raise ValueError(f"number of steps must be a positive integer, got {n_steps!r}")
-    return n_steps
 
 
 def _point_evaluator(rhs: Expression) -> Callable[[float, float], float]:
@@ -126,8 +110,8 @@ def rk4_step(rhs: Expression, x: float, y: float, h: float) -> float:
 
 
 def _integrate(ivp: IVP, h: float, n_steps: int, advance) -> Trajectory:
-    h = _check_step(h)
-    n_steps = _check_count(n_steps)
+    h = _check.positive("step size", h)
+    n_steps = _check.integer("number of steps", n_steps, 1)
     f = compile_scalar(ivp.rhs, ("x", "y"))
     points = [TrajectoryPoint(0, ivp.x0, ivp.y0)]
     y = ivp.y0
@@ -168,16 +152,14 @@ def variability_table(ivp: IVP, x_target: float, step_sizes: Sequence[float]) ->
     whose trajectory escapes to overflow before reaching the target get
     y_at_target None and escaped True.
     """
-    x_target = float(x_target)
-    if not math.isfinite(x_target) or x_target <= ivp.x0:
-        raise ValueError(f"target abscissa must be finite and greater than x0={ivp.x0!r}")
+    x_target = _check.above("target abscissa", x_target, "x0", ivp.x0)
     if not step_sizes:
         raise ValueError("at least one step size is required")
     span = x_target - ivp.x0
     rows: list[VariabilityRow] = []
     for h_raw in step_sizes:
-        h = _check_step(h_raw)
-        n = round(span / h)
+        h = _check.positive("step size", h_raw)
+        n = round(_check.finite(f"number of steps for step size {h!r}", span / h))
         if n < 1 or abs(ivp.x0 + n * h - x_target) > 1e-9 * max(1.0, abs(span)):
             raise ValueError(f"step size {h!r} does not divide the interval [{ivp.x0!r}, {x_target!r}]")
         trajectory = integrate_euler(ivp, h, n)

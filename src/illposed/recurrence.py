@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _check
 from ._fmt import format_float
 
 __all__ = [
@@ -33,34 +34,37 @@ class RecurrenceInstance:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("seed values must be finite")
-
-
-def _check_index(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"index must be a non-negative integer, got {n!r}")
-    return n
+        object.__setattr__(self, "a", _check.finite("a", self.a))
+        object.__setattr__(self, "b", _check.finite("b", self.b))
 
 
 def iterate_recurrence(instance: RecurrenceInstance, n: int) -> list[float]:
     """The terms x_0, ..., x_n inclusive."""
-    n = _check_index(n)
+    n = _check.integer("index n", n, 0)
     if n == 0:
         return [instance.a]
-    values = [instance.a, instance.b]
+    prev, cur = instance.a, instance.b
+    values = [prev, cur]
+    isfinite = math.isfinite
     for _ in range(n - 1):
-        values.append((values[-1] + values[-2]) / 2.0)
+        total = prev + cur
+        # seeds past half the double range can overflow the sum; halving
+        # first rounds only once too, so either form is the rounded mean
+        prev, cur = cur, (total / 2.0 if isfinite(total) else prev / 2.0 + cur / 2.0)
+        values.append(cur)
     return values
 
 
 def closed_form(instance: RecurrenceInstance, n: int) -> float:
     """x_n straight from the characteristic roots 1 and -1/2."""
-    n = _check_index(n)
-    limit = (instance.a + 2.0 * instance.b) / 3.0
-    return limit + (2.0 / 3.0) * (instance.a - instance.b) * (-0.5) ** n
+    n = _check.integer("index n", n, 0)
+    a, b = instance.a, instance.b
+    value = (a + 2.0 * b) / 3.0 + (2.0 / 3.0) * (a - b) * (-0.5) ** n
+    if not math.isfinite(value):
+        # a + 2b or a - b overflowed; scaling by a power of two is exact,
+        # and a quarter of each seed keeps every sub-expression in range
+        return 4.0 * closed_form(RecurrenceInstance(a / 4.0, b / 4.0), n)
+    return value
 
 
 def detect_limit(
@@ -75,11 +79,8 @@ def detect_limit(
     are required before the tail counts as settled.  Returns (last
     value, settle index) or None.
     """
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if not isinstance(min_run, int) or isinstance(min_run, bool) or min_run < 1:
-        raise ValueError(f"min_run must be a positive integer, got {min_run!r}")
+    tol = _check.positive("tol", tol)
+    min_run = _check.integer("min_run", min_run, 1)
     values = [float(v) for v in sequence]
     if len(values) < min_run + 1:
         return None

@@ -195,8 +195,14 @@ def test_expression_error_exits_2(capsys):
 
 
 def test_bad_value_exits_1(capsys):
-    code = run(["euler", "--rhs", "y", "--x0", "0", "--y0", "0", "--h", "0", "--steps", "2"])
-    assert code == 1
+    for argv in (
+        ["euler", "--rhs", "y", "--x0", "0", "--y0", "0", "--h", "0", "--steps", "2"],
+        ["blowup", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--xmax", "2", "--h0", "1e-320"],
+        ["variability", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--target", "1", "--h", "0.5,1e-320"],
+    ):
+        assert run(argv) == 1
+        _, err = out_of(capsys)
+        assert "step size" in err
 
 
 def test_unknown_flag_exits_1(capsys):

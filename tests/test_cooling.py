@@ -10,6 +10,7 @@ reading, or one below absolute zero.
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,40 @@ def test_feasible_range_with_zero_floor_matches_geometric_mean():
 def test_feasible_range_rejects_floor_above_readings():
     with pytest.raises(DiagnosticError, match="not below the final reading"):
         feasible_midpoint_range(40.0, 30.0, 50.0)
+
+
+def _assert_range_brackets_exact_root(T0, T2, floor=ABSOLUTE_ZERO_C, tol=1e-6):
+    """The exact ambient T_M(c) falls from T2 to -inf on (T2, mid), so the
+    exact root lies within tol of c_high exactly when T_M(c_high - tol)
+    is above the floor and T_M(c_high + tol) is below it or past the pole."""
+    c_low, c_high = feasible_midpoint_range(T0, T2, floor, tol)
+    f0, f2, fl = Fraction(T0), Fraction(T2), Fraction(floor)
+
+    def gap(c):
+        return (c * c - f0 * f2) / (2 * c - f0 - f2) - fl
+
+    mid = (f0 + f2) / 2
+    high = Fraction(c_high)
+    assert c_low == T2
+    assert f2 < high < mid
+    assert gap(high - Fraction(tol)) > 0
+    assert high + Fraction(tol) >= mid or gap(high + Fraction(tol)) < 0
+
+
+def test_feasible_range_when_the_chord_midpoint_rounds_past_the_pole():
+    # at c = mid, 2*c - T0 - T2 rounds to +7e-15 rather than 0
+    T0, T2 = 74.1232, 21.2442
+    mid = 0.5 * (T0 + T2)
+    assert 2.0 * mid - T0 - T2 > 0.0
+    _assert_range_brackets_exact_root(T0, T2)
+
+
+def test_feasible_range_matches_exact_root_on_random_pairs():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        T2 = round(rng.uniform(-100.0, 150.0), 4)
+        T0 = round(T2 + rng.uniform(0.001, 200.0), 4)
+        _assert_range_brackets_exact_root(T0, T2)
 
 
 def test_endpoint_of_feasible_range_is_actually_marginal():

@@ -5,6 +5,9 @@ Characteristic roots 1 and -1/2 give the closed form
 weighted average (a + 2b)/3 regardless of the seeds.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,12 +68,37 @@ def test_successive_differences_halve_exactly_for_dyadic_seeds():
 @given(seeds, seeds)
 @settings(max_examples=200)
 def test_contraction_ratio_is_about_one_half(a, b):
-    if abs(a - b) < 1e-3:
-        return
+    # with exact differences d and e, e + d/2 equals x_{n+2} minus the
+    # exact mean of x_n and x_{n+1}: the rounding error of that step,
+    # which is at most half an ulp of the new term
     seq = iterate_recurrence(RecurrenceInstance(a, b), 12)
-    diffs = [y - x for x, y in zip(seq, seq[1:])]
-    for d, e in zip(diffs[:6], diffs[1:7]):
-        assert e == pytest.approx(-d / 2.0, rel=1e-12)
+    exact = [Fraction(v) for v in seq]
+    for x0, x1, x2, new in zip(exact, exact[1:], exact[2:], seq[2:]):
+        d, e = x1 - x0, x2 - x1
+        assert abs(e + d / 2) <= Fraction(math.ulp(new)) / 2
+
+
+HUGE_SEEDS = [(1.7e308, 1.7e308), (1.7e308, 1.6e308), (-1.7e308, -1.65e308), (1.7e308, -1.7e308), (-1.7e308, 3.0)]
+
+
+def _exact_term(a, b, n):
+    fa, fb = Fraction(a), Fraction(b)
+    return (fa + 2 * fb) / 3 + Fraction(2, 3) * (fa - fb) * Fraction(-1, 2) ** n
+
+
+@pytest.mark.parametrize(("a", "b"), HUGE_SEEDS)
+def test_seeds_near_the_double_ceiling_do_not_overflow(a, b):
+    seq = iterate_recurrence(RecurrenceInstance(a, b), 40)
+    assert seq[:2] == [a, b]
+    for x0, x1, x2 in zip(seq, seq[1:], seq[2:]):
+        # each term is the correctly rounded mean of the two before it
+        assert x2 == float((Fraction(x0) + Fraction(x1)) / 2)
+    eps = Fraction(2.0**-52)
+    scale = abs(Fraction(a)) + 2 * abs(Fraction(b)) + abs(Fraction(a) - Fraction(b))
+    for n in (0, 1, 2, 5, 40):
+        value = closed_form(RecurrenceInstance(a, b), n)
+        assert math.isfinite(value)
+        assert abs(Fraction(value) - _exact_term(a, b, n)) <= 8 * eps * scale
 
 
 def test_detect_limit_unit_seeds():
