@@ -12,24 +12,32 @@ from typing import Iterable
 from .expr import Expression, free_variables
 
 
+def _float(name: str, value: float, rule: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an int past the double range
+        raise ValueError(f"{name} must be {rule}, got an integer too large for a float") from None
+
+
 def finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _float(name, value, "finite")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def positive(name: str, value: float) -> float:
-    value = float(value)
+    value = _float(name, value, "positive and finite")
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def above(name: str, value: float, bound_name: str, bound: float) -> float:
-    value = float(value)
+    rule = f"finite and greater than {bound_name}={bound!r}"
+    value = _float(name, value, rule)
     if not (math.isfinite(value) and value > bound):
-        raise ValueError(f"{name} must be finite and greater than {bound_name}={bound!r}, got {value!r}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
 
 

@@ -5,20 +5,24 @@ One subcommand per diagnostic.  Exit codes: 0 success, 1 usage errors
 3 a diagnostic that failed to produce an answer (no feasibility root,
 or an Inconclusive verdict under --strict).
 
-Output is assembled fully in memory and written in one shot (via a
-temp-file rename for --out), so a failed run never leaves partial
-artifacts.  Runs are deterministic: the same argv and inputs produce
-byte-identical output.
+Output is assembled fully in memory; every file a run writes is staged
+to a unique temp and renamed into place only once all of them are
+written, so a failed run never leaves partial artifacts.  Runs are
+deterministic: the same argv and inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
+import tempfile
 from typing import Callable, Sequence
 
+from . import _check
 from .blowup import (
     DEFAULT_H0,
     DEFAULT_LEVELS,
@@ -314,6 +318,7 @@ def _cmd_cooling_fit(args) -> str:
 
 def _cmd_cooling_range(args) -> tuple[str, dict[str, str]]:
     T0, T2 = _float_list(args.temps, expect=2, flag="--temps")
+    _check.positive("t1", args.t1)
     c_low, c_high = feasible_midpoint_range(T0, T2, args.floor)
     payload = {"c_low": c_low, "c_high": c_high, "floor": args.floor, "T0": T0, "T2": T2}
     primary = json.dumps(payload, indent=2) + "\n"
@@ -380,14 +385,41 @@ _DISPATCH: dict[str, Callable] = {
 }
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_outputs(outputs: Sequence[tuple[str | None, str]]) -> None:
+    """Write every (path, text) output, or none of the files.
+
+    Each file is staged to its own unique temp in the target directory;
+    the temps are renamed only after every write has succeeded and are
+    unlinked on any failure.  Text for stdout (path None) goes out last.
+    """
+    mask = os.umask(0)
+    os.umask(mask)
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            if path is None:
+                continue
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            directory, name = os.path.split(path)
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+            except OSError as err:  # name the target, not the random temp
+                raise OSError(err.errno, err.strerror, path) from None
+            staged.append((tmp, path))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fd, 0o666 & ~mask)  # mkstemp makes 0600; keep the mode open() would give
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -411,9 +443,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         _check_round(args)
         result = _DISPATCH[key](args)
         primary, extra = result if isinstance(result, tuple) else (result, {})
-        _write_output(primary, args.out)
-        for path, text in extra.items():
-            _write_output(text, path)
+        _write_outputs([(args.out, primary), *extra.items()])
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -522,6 +522,9 @@ _SCALAR_NAMESPACE.update({f"F{name}": fn for name, fn in _FUNCTION_OPS.items()})
 _ARRAY_NAMESPACE: dict[str, object] = {
     "__builtins__": {},
     "POW": np.power,
+    "POW2": np.square,
+    "POW3": lambda a: a * a * a,
+    "POW4": lambda a: np.square(np.square(a)),
     "Fsin": np.sin,
     "Fcos": np.cos,
     "Ftan": np.tan,
@@ -591,6 +594,9 @@ def _array_code(expr: Expression) -> str:
         return f"(- {_array_code(expr.operand)})"
     if isinstance(expr, Binary):
         if expr.op == "^":
+            # small integer literal exponents multiply; decided from the tree, never per element
+            if isinstance(expr.right, Literal) and expr.right.value in (2.0, 3.0, 4.0):
+                return f"POW{expr.right.value:.0f}({_array_code(expr.left)})"
             return f"POW({_array_code(expr.left)}, {_array_code(expr.right)})"
         return f"({_array_code(expr.left)} {expr.op} {_array_code(expr.right)})"
     if isinstance(expr, Call):

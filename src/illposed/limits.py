@@ -347,23 +347,19 @@ def angular_bound_scan(
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
-    rows: list[tuple[float, float]] = []
-    bounded = True
-    for r in rs:
-        worst = 0.0
-        for start in range(0, n_angles, _SCAN_CHUNK):
-            stop = min(start + _SCAN_CHUNK, n_angles)
-            angles = (np.arange(start, stop, dtype=float) + 0.5) * cell
-            values = fn(r * np.cos(angles), r * np.sin(angles))
-            chunk_worst = float(np.max(np.abs(values)))
-            if not math.isfinite(chunk_worst):
-                worst = math.inf
-                break
-            worst = max(worst, chunk_worst)
-        rows.append((r, worst))
-        if not math.isfinite(worst) or not worst / r < cap:
-            bounded = False
-    return AngularScan(tuple(rows), bounded, n_angles, cap)
+    worst = [0.0] * len(rs)
+    for start in range(0, n_angles, _SCAN_CHUNK):
+        # one cos/sin per angle chunk, shared by every radius
+        angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
+        cos, sin = np.cos(angles), np.sin(angles)
+        for k, r in enumerate(rs):
+            if worst[k] < math.inf:
+                chunk_worst = float(np.max(np.abs(fn(r * cos, r * sin))))
+                # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
+                worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
+    rows = tuple(zip(rs, worst))
+    bounded = all(m / r < cap for r, m in rows)
+    return AngularScan(rows, bounded, n_angles, cap)
 
 
 def implicit_zero_scan(
@@ -384,26 +380,32 @@ def implicit_zero_scan(
     _check.variables("F", ("x", "y"), F)
     R = _check.positive("R", R)
     grid_n = _check.integer("grid_n", grid_n, 100)
+    tiny = _check.positive("tiny", tiny)
 
     xs = np.linspace(-R, R, grid_n)
-    grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
-    values = compile_array(F, ("x", "y"))(grid_x, grid_y)
-
-    corners = (values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:])
-    finite = np.logical_and.reduce([np.isfinite(c) for c in corners])
-    lowest = np.minimum.reduce(corners)
-    highest = np.maximum.reduce(corners)
-    near_zero = np.logical_or.reduce([np.abs(c) < tiny for c in corners])
-    flagged = finite & (((lowest < 0.0) & (highest > 0.0)) | near_zero)
-
-    spans_zero = (xs[:-1] <= 0.0) & (xs[1:] >= 0.0)
-    flagged &= ~(spans_zero[:, None] & spans_zero[None, :])
-
     centres = 0.5 * (xs[:-1] + xs[1:])
-    in_disk = (centres[:, None] ** 2 + centres[None, :] ** 2) <= R * R
-    flagged &= in_disk
-
-    return [(float(centres[i]), float(centres[j])) for i, j in np.argwhere(flagged)]
+    spans_zero = (xs[:-1] <= 0.0) & (xs[1:] >= 0.0)
+    fn = compile_array(F, ("x", "y"))
+    cells: list[tuple[float, float]] = []
+    # row blocks of about _SCAN_CHUNK points, overlapping by one row;
+    # F sees an (n, 1) column against a (1, N) row, so x-only terms cost O(n)
+    block = max(1, _SCAN_CHUNK // grid_n)
+    for i0 in range(0, grid_n - 1, block):
+        i1 = min(i0 + block, grid_n - 1)
+        values = fn(xs[i0 : i1 + 1].reshape(-1, 1), xs.reshape(1, -1))
+        a, b, c, d = values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]
+        # min and max propagate nan and inf, so two isfinite tests cover all four corners
+        lowest = np.minimum(np.minimum(a, b), np.minimum(c, d))
+        highest = np.maximum(np.maximum(a, b), np.maximum(c, d))
+        near_zero = np.abs(a) < tiny
+        for corner in (b, c, d):
+            near_zero |= np.abs(corner) < tiny
+        flagged = np.isfinite(lowest) & np.isfinite(highest) & (((lowest < 0.0) & (highest > 0.0)) | near_zero)
+        flagged &= ~(spans_zero[i0:i1, None] & spans_zero[None, :])
+        flagged &= (centres[i0:i1, None] ** 2 + centres[None, :] ** 2) <= R * R
+        i, j = np.nonzero(flagged)
+        cells.extend(zip(centres[i0 + i].tolist(), centres[j].tolist()))
+    return cells
 
 
 # --- renderers --------------------------------------------------------------

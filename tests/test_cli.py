@@ -57,6 +57,35 @@ def test_failed_run_leaves_existing_output_alone(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == "precious\n"
 
 
+def test_failed_second_output_leaves_no_file_behind(tmp_path, capsys):
+    primary = tmp_path / "primary.json"
+    code = run(["cooling", "range", "--temps", "40,30", "--out", str(primary),
+                "--sweep", "3", "--sweep-out", str(tmp_path / "missing" / "s.csv")])
+    assert code == 1
+    assert "missing" in out_of(capsys)[1]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_to_a_directory_leaves_no_temp(tmp_path, capsys):
+    target = tmp_path / "D"
+    target.mkdir()
+    assert run(EULER_ARGS + ["--out", str(target)]) == 1
+    assert "filesystem error" in out_of(capsys)[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["D"]
+    assert list(target.iterdir()) == []
+
+
+def test_out_file_gets_the_usual_mode(tmp_path, capsys):
+    import os
+
+    mask = os.umask(0o022)
+    try:
+        assert run(EULER_ARGS + ["--out", str(tmp_path / "table.csv")]) == 0
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "table.csv").stat().st_mode & 0o777 == 0o644
+
+
 def test_runs_are_byte_identical(capsys):
     run(["blowup", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--xmax", "2",
          "--threshold", "1e8", "--h0", "0.01", "--levels", "5"])
@@ -125,6 +154,13 @@ def test_cooling_range_infeasible_floor_exits_3(capsys):
     assert code == 3
     _, err = out_of(capsys)
     assert "diagnostic failure" in err
+
+
+def test_cooling_range_checks_t1_without_sweep(capsys):
+    assert run(["cooling", "range", "--temps", "40,30", "--t1", "-1"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "t1" in err
 
 
 def test_cooling_sweep_needs_both_flags(capsys):

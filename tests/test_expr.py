@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,38 @@ def test_compiled_array_close_to_scalar_on_transcendentals():
     out = fa(xs, ys)
     for i in range(41):
         assert math.isclose(out[i], fs(float(xs[i]), float(ys[i])), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_compiled_array_integer_powers_against_exact_fraction(k):
+    import numpy as np
+
+    # x^3 and x^4 multiply instead of calling np.power; each stays within
+    # 2 ulp of the exact power wherever the result is a normal double
+    rng = np.random.default_rng(k)
+    xs = rng.uniform(-2.0, 2.0, 3000) * 2.0 ** rng.integers(-250, 250, 3000)
+    out = compile_array(parse(f"x^{k}"), ("x",))(xs)
+    normal = 0
+    for x, got in zip(xs.tolist(), out.tolist()):
+        if math.isfinite(got) and abs(got) >= sys.float_info.min:
+            normal += 1
+            assert abs(Fraction(got) - Fraction(x) ** k) <= 2 * Fraction(math.ulp(got))
+    assert normal > 1000
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-300])
+    got = compile_array(parse(f"x^{k}"), ("x",))(special)
+    with np.errstate(over="ignore"):
+        want = np.power(special, float(k))
+    np.testing.assert_array_equal(got, want)
+    assert (np.signbit(got) == np.signbit(want)).all()
+
+
+def test_compiled_array_square_is_bit_identical_to_np_power():
+    import numpy as np
+
+    xs = np.random.default_rng(2).standard_normal(5000) * 1e3
+    assert compile_array(parse("x^2"), ("x",))(xs).tobytes() == np.power(xs, 2.0).tobytes()
+    # other exponents, literal or not, still go through np.power
+    assert "POW(" in compile_array(parse("x^5+x^y+x^0.5"), ("x", "y")).source
 
 
 def test_compiled_array_yields_nonfinite_instead_of_raising():

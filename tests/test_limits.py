@@ -10,13 +10,17 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from illposed.expr import parse
+from illposed import limits
+from illposed.expr import EvalError, compile_array, compile_scalar, parse
 from illposed.limits import (
     AGREEMENT_TOL,
+    ANGULAR_CAP,
     CAUCHY_TOL,
     DEFAULT_SCHEDULE,
+    AngularScan,
     LimitVerdict,
     PathStatus,
     Trajectory2D,
@@ -349,6 +353,132 @@ def test_implicit_scan_validation():
         implicit_zero_scan(F, 0.0, 400)
     with pytest.raises(ValueError):
         implicit_zero_scan(F, 0.5, 50)
+
+
+# --- scan kernels across chunk boundaries ---------------------------------------
+
+
+def _meshgrid_scan(F, R, grid_n, tiny=1e-14):
+    """The implicit scan as one whole-grid evaluation, as an oracle for the row blocks."""
+    xs = np.linspace(-R, R, grid_n)
+    grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
+    values = compile_array(F, ("x", "y"))(grid_x, grid_y)
+    corners = (values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:])
+    finite = np.logical_and.reduce([np.isfinite(c) for c in corners])
+    lowest = np.minimum.reduce(corners)
+    highest = np.maximum.reduce(corners)
+    near_zero = np.logical_or.reduce([np.abs(c) < tiny for c in corners])
+    flagged = finite & (((lowest < 0.0) & (highest > 0.0)) | near_zero)
+    spans_zero = (xs[:-1] <= 0.0) & (xs[1:] >= 0.0)
+    flagged &= ~(spans_zero[:, None] & spans_zero[None, :])
+    centres = 0.5 * (xs[:-1] + xs[1:])
+    flagged &= (centres[:, None] ** 2 + centres[None, :] ** 2) <= R * R
+    return [(float(centres[i]), float(centres[j])) for i, j in np.argwhere(flagged)]
+
+
+def _boundary_line(grid_n):
+    # x equals the lattice row 84 exactly; with 7-row blocks that row is
+    # the last of one block and the first of the next
+    return f"x-{float(np.linspace(-1.0, 1.0, grid_n)[84])!r}"
+
+
+@pytest.mark.parametrize("rows", [7, 1])
+@pytest.mark.parametrize("grid_n", [151, 257])
+@pytest.mark.parametrize(
+    ("text", "R"),
+    [("sqrt(1-x^2-y^2)-0.5", 1.2), ("1/x-y", 1.0), ("x^2+y^2-0.04", 0.5), (None, 1.0)],
+    ids=["nan-region", "pole-line", "circle", "block-boundary-line"],
+)
+def test_implicit_row_blocks_match_the_whole_grid(monkeypatch, rows, grid_n, text, R):
+    F = parse(text or _boundary_line(grid_n))
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", rows * grid_n)
+    cells = implicit_zero_scan(F, R, grid_n)
+    assert cells == _meshgrid_scan(F, R, grid_n)
+    if text is None:  # both blocks flag the cells on their side of the line
+        xs = np.linspace(-1.0, 1.0, grid_n).tolist()
+        assert {cx for cx, _ in cells} == {0.5 * (xs[83] + xs[84]), 0.5 * (xs[84] + xs[85])}
+
+
+def _whole_circle_scan(f, radii, n_angles, cap):
+    """The polar scan with every angle of a circle in one array, as an oracle for the chunks."""
+    fn = compile_array(f, ("x", "y"))
+    angles = (np.arange(n_angles, dtype=float) + 0.5) * (2.0 * math.pi / n_angles)
+    rows = []
+    for r in radii:
+        worst = float(np.max(np.abs(fn(r * np.cos(angles), r * np.sin(angles)))))
+        rows.append((r, worst if math.isfinite(worst) else math.inf))
+    return AngularScan(tuple(rows), all(m / r < cap for r, m in rows), n_angles, cap)
+
+
+@pytest.mark.parametrize("text", [CUBIC, "1/(x*y)", "ln(x)", "sqrt(y)"])
+def test_polar_chunks_match_the_whole_circle(monkeypatch, text):
+    f, radii = parse(text), (0.5, 0.1, 1e-3)
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
+    scan = angular_bound_scan(f, radii, 2501)
+    assert scan == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
+    if text in ("ln(x)", "sqrt(y)"):
+        # sqrt(y) is finite on the whole first chunk and nan only later
+        assert not scan.bounded
+        assert all(m == math.inf for _, m in scan.rows)
+
+
+# --- scan verdicts against scalar libm re-evaluation -------------------------------
+
+
+def _scalar_or_inf(fs, x, y):
+    try:
+        return fs(x, y)
+    except EvalError:
+        return math.inf
+
+
+@pytest.mark.parametrize("text", [CUBIC, "1/(x*y)"])
+def test_polar_verdict_agrees_with_scalar_libm(text):
+    # numpy's SIMD sin, cos, exp and log may differ from libm in the last
+    # bits, so bytes can vary by host; the verdict must not
+    f = parse(text)
+    scan = angular_bound_scan(f)
+    fs = compile_scalar(f, ("x", "y"))
+    cell = 2.0 * math.pi / scan.n_angles
+    bounded = True
+    for r, m in scan.rows:
+        worst = max(
+            abs(_scalar_or_inf(fs, r * math.cos((k + 0.5) * cell), r * math.sin((k + 0.5) * cell)))
+            for k in range(scan.n_angles)
+        )
+        assert math.isclose(m, worst, rel_tol=1e-12)
+        bounded = bounded and worst / r < ANGULAR_CAP
+    assert scan.bounded == bounded
+
+
+def _scalar_cells(F, R, grid_n, tiny=1e-14, exempt_within=1e-12):
+    """Flagged cells from math.* evaluation, and the cells too close to zero to judge."""
+    fs = compile_scalar(F, ("x", "y"))
+    xs = np.linspace(-R, R, grid_n).tolist()
+    values = [[_scalar_or_inf(fs, x, y) for y in xs] for x in xs]
+    centres = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+    flagged, exempt = set(), set()
+    for i, cx in enumerate(centres):
+        for j, cy in enumerate(centres):
+            if (xs[i] <= 0.0 <= xs[i + 1] and xs[j] <= 0.0 <= xs[j + 1]) or cx * cx + cy * cy > R * R:
+                continue
+            corners = (values[i][j], values[i + 1][j], values[i][j + 1], values[i + 1][j + 1])
+            if not all(map(math.isfinite, corners)):
+                continue
+            if min(corners) < 0.0 < max(corners) or any(abs(c) < tiny for c in corners):
+                flagged.add((cx, cy))
+            if any(abs(c) < exempt_within for c in corners):
+                exempt.add((cx, cy))
+    return flagged, exempt
+
+
+@pytest.mark.parametrize("R", [0.5, 1.5])
+def test_implicit_cells_agree_with_scalar_libm(R):
+    F = parse("x^3+y^3-x^2-y^2")
+    cells = implicit_zero_scan(F, R, 400)
+    flagged, exempt = _scalar_cells(F, R, 400)
+    assert set(cells) ^ flagged <= exempt
+    assert len(flagged) == (0 if R == 0.5 else 595)
 
 
 # --- renderers --------------------------------------------------------------------

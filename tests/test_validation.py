@@ -40,8 +40,9 @@ from illposed.recurrence import (
 )
 
 NAN, INF = math.nan, math.inf
-FINITE = (NAN, INF, -INF)
-POSITIVE = (0.0, -1.0, NAN, INF)
+BIG = 10**400  # an int that float() cannot convert
+FINITE = (NAN, INF, -INF, BIG)
+POSITIVE = (0.0, -1.0, NAN, INF, BIG)
 STEP = POSITIVE + (1e-320,)  # for steps that divide a span: span/h overflows
 COUNT = (0, -1, NAN, INF, True, 2.5)
 INDEX = (-1, NAN, INF, True, 2.5)
@@ -116,12 +117,17 @@ CASES = [
     ("implicit_zero_scan.F", ("z",), lambda v: implicit_zero_scan(parse(v), 1.0)),
     ("implicit_zero_scan.R", POSITIVE, lambda v: implicit_zero_scan(SADDLE, v)),
     ("implicit_zero_scan.grid_n", COUNT + (99,), lambda v: implicit_zero_scan(SADDLE, 1.0, v)),
+    ("implicit_zero_scan.tiny", POSITIVE, lambda v: implicit_zero_scan(SADDLE, 1.0, 100, v)),
 ]
 
 
 @pytest.mark.parametrize(
     ("call", "value"),
-    [pytest.param(call, v, id=f"{name}={v!r}") for name, values, call in CASES for v in values],
+    [
+        pytest.param(call, v, id=f"{name}={v!r}".replace(repr(BIG), "10**400"))
+        for name, values, call in CASES
+        for v in values
+    ],
 )
 def test_out_of_range_argument_raises_value_error(call, value):
     with pytest.raises(ValueError):
