@@ -3,7 +3,8 @@
 One subcommand per diagnostic.  Exit codes: 0 success, 1 usage errors
 (bad flags, bad numbers, filesystem trouble), 2 expression parse errors,
 3 a diagnostic that failed to produce an answer (no feasibility root,
-or an Inconclusive verdict under --strict).
+no finite cooling fit in doubles, or an Inconclusive verdict under
+--strict).
 
 Output is assembled fully in memory; every file a run writes is staged
 to a unique temp and renamed into place only once all of them are

@@ -103,7 +103,12 @@ def classify(
 
 
 def fit_three_point(obs: CoolingObservations, floor: float = ABSOLUTE_ZERO_C) -> CoolingFit:
-    """Exact three-point fit, or a degenerate verdict when none exists."""
+    """Exact three-point fit, or a degenerate verdict when none exists.
+
+    Raises DiagnosticError when rounding leaves no finite fit: readings
+    so close that cancellation puts T_M at or past T0 or T1, so large
+    that T1^2 overflows, or a t1 so small that k overflows.
+    """
     floor = _check.finite("floor", floor)
     if not obs.monotone_cooling:
         return CoolingFit(None, None, FeasibilityVerdict.NON_MONOTONE_DATA)
@@ -111,13 +116,24 @@ def fit_three_point(obs: CoolingObservations, floor: float = ABSOLUTE_ZERO_C) ->
     if d == 0.0:
         return CoolingFit(None, None, FeasibilityVerdict.COLINEAR_DEGENERATE)
     T_M = (obs.T1 * obs.T1 - obs.T0 * obs.T2) / d
+    # a rounded T_M can land on T0 itself, which would divide by zero below
+    if not math.isfinite(T_M) or T_M == obs.T0:
+        raise _degenerate(obs, f"ambient T_M={T_M!r} leaves no decay ratio")
     ratio = (obs.T1 - T_M) / (obs.T0 - T_M)
     # both differences share the sign of -d, so the ratio is positive
-    # for any representable non-degenerate fit
-    if ratio <= 0.0:
-        raise ArithmeticError(f"decay ratio {ratio!r} is not positive; data is numerically degenerate")
+    # unless cancellation has eaten every significant digit
+    if not ratio > 0.0:
+        raise _degenerate(obs, f"decay ratio {ratio!r} is not positive")
     k = math.log(ratio) / obs.t1
+    if not math.isfinite(k):
+        raise _degenerate(obs, f"rate k={k!r} is not finite")
     return CoolingFit(T_M, k, classify(T_M, k, obs, floor))
+
+
+def _degenerate(obs: CoolingObservations, what: str) -> DiagnosticError:
+    return DiagnosticError(
+        f"{what}; readings {obs.T0!r}, {obs.T1!r}, {obs.T2!r} at t1={obs.t1!r} are numerically degenerate"
+    )
 
 
 def predict(T_M: float, k: float, T_start: float, t: float) -> float:

@@ -25,12 +25,14 @@ no implicit multiplication.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Expression",
@@ -519,20 +521,26 @@ _SCALAR_NAMESPACE: dict[str, object] = {
 }
 _SCALAR_NAMESPACE.update({f"F{name}": fn for name, fn in _FUNCTION_OPS.items()})
 
-_ARRAY_NAMESPACE: dict[str, object] = {
-    "__builtins__": {},
-    "POW": np.power,
-    "POW2": np.square,
-    "POW3": lambda a: a * a * a,
-    "POW4": lambda a: np.square(np.square(a)),
-    "Fsin": np.sin,
-    "Fcos": np.cos,
-    "Ftan": np.tan,
-    "Fexp": np.exp,
-    "Fln": np.log,
-    "Fsqrt": np.sqrt,
-    "Fabs": np.abs,
-}
+
+@functools.cache
+def _array_namespace() -> dict[str, object]:
+    # built by the first compile_array, so that only the array lane imports numpy
+    import numpy as np
+
+    return {
+        "__builtins__": {},
+        "POW": np.power,
+        "POW2": np.square,
+        "POW3": lambda a: a * a * a,
+        "POW4": lambda a: np.square(np.square(a)),
+        "Fsin": np.sin,
+        "Fcos": np.cos,
+        "Ftan": np.tan,
+        "Fexp": np.exp,
+        "Fln": np.log,
+        "Fsqrt": np.sqrt,
+        "Fabs": np.abs,
+    }
 
 
 def _check_params(expr: Expression, params: Sequence[str]) -> tuple[str, ...]:
@@ -611,9 +619,11 @@ def compile_array(expr: Expression, params: Sequence[str] = ("x", "y")) -> Calla
     come back as nan or inf entries, which the scan modules treat as
     evidence in their own right.
     """
+    import numpy as np
+
     names = _check_params(expr, params)
     source = f"lambda {', '.join(names)}: {_array_code(expr)}"
-    fn = eval(source, dict(_ARRAY_NAMESPACE))
+    fn = eval(source, dict(_array_namespace()))
 
     def compiled(*args) -> np.ndarray:
         arrays = [np.asarray(a, dtype=float) for a in args]

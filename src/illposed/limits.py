@@ -19,9 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from . import _check
 from ._fmt import format_float
@@ -79,7 +77,8 @@ DIVERGENCE_CAP = 1e12
 AGREEMENT_TOL = 1e-4
 ANGULAR_CAP = 1e6
 
-_SCAN_CHUNK = 1_000_000
+# 65,536 doubles make 512 KB per scan temporary, so a chunk's working set stays in cache
+_SCAN_CHUNK = 65_536
 
 
 class PathStatus(str, Enum):
@@ -230,8 +229,11 @@ def limit_along(
     or the path is undefined are skipped and noted, not fatal.
     """
     _check.variables("f", ("x", "y"), f)
-    ts = _check_schedule(schedule)
-    fn = compile_scalar(f, ("x", "y"))
+    return _sample_path(compile_scalar(f, ("x", "y")), trajectory, _check_schedule(schedule))
+
+
+def _sample_path(fn: Callable[[float, float], float], trajectory: Trajectory2D, ts: Sequence[float]) -> TrajectoryLimit:
+    # limit_along without the checks and the compile of f, which callers do once
     x_of = compile_scalar(trajectory.x_of_t, ("t",))
     y_of = compile_scalar(trajectory.y_of_t, ("t",))
     samples: list[LimitSample] = []
@@ -287,7 +289,10 @@ def compare_trajectories(
     labels = [tr.label for tr in trajectories]
     if len(set(labels)) != len(labels):
         raise ValueError("path labels must be unique")
-    results = tuple(limit_along(f, tr, schedule) for tr in trajectories)
+    _check.variables("f", ("x", "y"), f)
+    ts = _check_schedule(schedule)
+    fn = compile_scalar(f, ("x", "y"))
+    results = tuple(_sample_path(fn, tr, ts) for tr in trajectories)
     converged = [(r.label, r.value) for r in results if r.status is PathStatus.CONVERGED]
 
     if len(converged) >= 2:
@@ -344,6 +349,7 @@ def angular_bound_scan(
     rs = _check.decreasing("radii", radii, 1)
     n_angles = _check.integer("n_angles", n_angles, 360)
     cap = _check.positive("cap", cap)
+    import numpy as np
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
@@ -381,6 +387,7 @@ def implicit_zero_scan(
     R = _check.positive("R", R)
     grid_n = _check.integer("grid_n", grid_n, 100)
     tiny = _check.positive("tiny", tiny)
+    import numpy as np
 
     xs = np.linspace(-R, R, grid_n)
     centres = 0.5 * (xs[:-1] + xs[1:])

@@ -156,6 +156,21 @@ def test_cooling_range_infeasible_floor_exits_3(capsys):
     assert "diagnostic failure" in err
 
 
+@pytest.mark.parametrize(
+    "t1, temps",
+    [("1", "26.025353896539,26.025353031012,26.025353"), ("0.5", "1e200,1e199,1e198"), ("1", "1,0.999999999,0")],
+)
+def test_cooling_fit_on_degenerate_data_exits_3(tmp_path, capsys, t1, temps):
+    argv = ["cooling", "fit", "--t1", t1, "--temps", temps]
+    assert run(argv) == 3
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("diagnostic failure:") and "numerically degenerate" in err
+    assert run(argv + ["--out", str(tmp_path / "fit.json")]) == 3
+    assert out_of(capsys)[0] == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cooling_range_checks_t1_without_sweep(capsys):
     assert run(["cooling", "range", "--temps", "40,30", "--t1", "-1"]) == 1
     out, err = out_of(capsys)
@@ -349,3 +364,61 @@ def test_installed_entry_point_matches_in_process():
     )
     assert proc.returncode == 0
     assert proc.stdout == EULER_GOLD
+
+
+# the README command-line examples; only the two scans use numpy
+README_SCALAR_COMMANDS = [
+    ["euler", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--h", "0.2", "--steps", "10"],
+    ["euler", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--h", "0.05", "--steps", "20", "--method", "rk4"],
+    ["variability", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--target", "2", "--h", "0.4,0.2,0.1"],
+    ["blowup", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--xmax", "2", "--threshold", "1e8",
+     "--h0", "0.01", "--levels", "8"],
+    ["cooling", "fit", "--t1", "0.5", "--temps", "40,36,30"],
+    ["cooling", "range", "--temps", "40,30", "--floor", "-273.15", "--sweep", "20", "--sweep-out", "sweep.csv"],
+    ["recurrence", "--a", "0", "--b", "1", "--n", "40", "--tol", "1e-10"],
+    ["limit", "--f", "x*y/(x+y)", "--trajectory", "t,t", "--level-curve", "1", "--level-curve", "3"],
+    ["limit", "--f", "x*y/(x^2+y^2)"],
+]
+README_SCAN_COMMANDS = [
+    ["polar-scan", "--f", "(x^3+y^3)/(x^2+y^2)"],
+    ["implicit-scan", "--f", "x^3+y^3-x^2-y^2", "--radius", "0.5", "--grid", "400"],
+]
+
+_FRESH_RUN = """
+import contextlib, io, json, sys
+import illposed, illposed.cli
+loaded = {"import": "numpy" in sys.modules}
+
+def run_all(commands):
+    results = []
+    for argv in commands:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            results.append([illposed.cli.run(argv), buffer.getvalue()])
+    return results
+
+scalar, scans = json.loads(sys.argv[1])
+scalar_results = run_all(scalar)
+loaded["scalar"] = "numpy" in sys.modules
+scan_results = run_all(scans)
+loaded["scan"] = "numpy" in sys.modules
+print(json.dumps([loaded, scalar_results, scan_results]))
+"""
+
+
+def test_numpy_is_imported_only_by_the_scans(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    scalar = [[str(sweep) if arg == "sweep.csv" else arg for arg in argv] for argv in README_SCALAR_COMMANDS]
+    commands = json.dumps([scalar, README_SCAN_COMMANDS])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, commands], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, scalar_results, scan_results = json.loads(proc.stdout)
+    assert loaded == {"import": False, "scalar": False, "scan": True}
+    assert all(code == 0 and out != "" for code, out in scalar_results)
+    assert sweep.exists()
+    # a scan that imports numpy itself gives the bytes of one in a process that already has it
+    import numpy  # noqa: F401
+
+    for argv, (code, out) in zip(README_SCAN_COMMANDS, scan_results):
+        assert run(argv) == 0
+        assert (code, out) == (0, out_of(capsys)[0])

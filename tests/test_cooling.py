@@ -76,6 +76,27 @@ def test_near_colinear_triple_implies_subzero_ambient():
     assert fit.k < 0
 
 
+@pytest.mark.parametrize(
+    "t1, temps, what",
+    [
+        # cancellation in T1^2 - T0*T2 puts T_M between the readings
+        (1.0, (26.025353896539, 26.025353031012, 26.025353), "decay ratio"),
+        # T1^2 and T0*T2 both overflow, so T_M is inf - inf
+        (0.5, (1e200, 1e199, 1e198), "T_M=nan"),
+        # T_M rounds to T0, so T0 - T_M is 0
+        (1.0, (1.0, 0.999999999, 0.0), "T_M=1.0"),
+        # ln(ratio)/t1 overflows
+        (1e-320, (40.0, 35.0, 31.0), "k=-inf"),
+    ],
+)
+def test_numerically_degenerate_fit_is_a_diagnostic_failure(t1, temps, what):
+    obs = CoolingObservations(t1, *temps)
+    with pytest.raises(DiagnosticError, match="numerically degenerate") as info:
+        fit_three_point(obs)
+    assert what in str(info.value)
+    assert repr(temps[0]) in str(info.value)
+
+
 def test_observation_validation():
     with pytest.raises(ValueError):
         CoolingObservations(0.0, 40.0, 36.0, 30.0)

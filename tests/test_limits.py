@@ -234,6 +234,22 @@ def test_witnesses_are_the_extreme_pair():
     assert high - low > AGREEMENT_TOL
 
 
+def test_compare_compiles_f_once_and_matches_limit_along(monkeypatch):
+    f = parse(SADDLE)
+    paths = default_trajectories()
+    compiled = []
+
+    def counting(expr, params):
+        compiled.append(expr)
+        return compile_scalar(expr, params)
+
+    monkeypatch.setattr(limits, "compile_scalar", counting)
+    report = compare_trajectories(f, paths)
+    assert compiled.count(f) == 1
+    monkeypatch.undo()
+    assert report.paths == tuple(limit_along(f, p) for p in paths)
+
+
 def test_duplicate_labels_are_rejected():
     with pytest.raises(ValueError, match="label"):
         compare_trajectories(parse(SADDLE), [line_trajectory(1.0), line_trajectory(1.0)])
