@@ -1,6 +1,12 @@
-"""Float-to-text helpers shared by the CSV and JSON writers."""
+"""Text writers shared by the CSV and JSON renderers, and DiagnosticError."""
 
 from __future__ import annotations
+
+import json
+
+
+class DiagnosticError(RuntimeError):
+    """A diagnostic could not produce an answer (as opposed to bad usage)."""
 
 
 def format_float(value: float, round_to: int | None = None) -> str:
@@ -13,3 +19,12 @@ def format_float(value: float, round_to: int | None = None) -> str:
     if round_to is not None:
         return f"{value:.{round_to}f}"
     return f"{value:.17g}"
+
+
+def json_text(payload: dict) -> str:
+    """Indented strict JSON with a final newline; DiagnosticError when a
+    value is NaN or infinite, which standard JSON cannot hold."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise DiagnosticError(f"the result holds a non-finite number ({err})") from None

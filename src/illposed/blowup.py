@@ -15,13 +15,13 @@ Inconclusive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import _check
+from ._fmt import json_text
 from .ode import IVP, Trajectory, integrate_euler, integrate_rk4
 
 __all__ = [
@@ -248,4 +248,4 @@ def report_json(report: BlowupReport) -> str:
             for row in report.evidence
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(payload)

@@ -2,9 +2,9 @@
 
 One subcommand per diagnostic.  Exit codes: 0 success, 1 usage errors
 (bad flags, bad numbers, filesystem trouble), 2 expression parse errors,
-3 a diagnostic that failed to produce an answer (no feasibility root,
-no finite cooling fit in doubles, or an Inconclusive verdict under
---strict).
+3 a diagnostic that failed to produce an answer (a floor that leaves no
+feasible midpoint, a cooling fit beyond the double range, a non-finite
+number in JSON output, or an Inconclusive verdict under --strict).
 
 Output is assembled fully in memory; every file a run writes is staged
 to a unique temp and renamed into place only once all of them are
@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
 import sys
 import tempfile
 from typing import Callable, Sequence
 
 from . import _check
+from ._fmt import json_text
 from .blowup import (
     DEFAULT_H0,
     DEFAULT_LEVELS,
@@ -67,8 +67,6 @@ from .recurrence import RecurrenceInstance, sequence_csv
 
 __all__ = ["main", "run", "UsageError"]
 
-_THREADS_VAR = "ILLPOSED_THREADS"
-
 _FORMATS: dict[str, tuple[str, ...]] = {
     "euler": ("csv",),
     "blowup": ("json",),
@@ -102,19 +100,6 @@ def _float_list(text: str, expect: int | None = None, flag: str = "") -> list[fl
     if expect is not None and len(values) != expect:
         raise UsageError(f"{flag} expects exactly {expect} numbers, got {len(values)}")
     return values
-
-
-def _read_threads(raw: str | None) -> int | None:
-    """Thread cap from the environment; 0 means pick automatically."""
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{_THREADS_VAR} must be a non-negative integer, got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"{_THREADS_VAR} must be a non-negative integer, got {raw!r}")
-    return value
 
 
 def _as_bool(value: str, key: str) -> bool:
@@ -321,8 +306,7 @@ def _cmd_cooling_range(args) -> tuple[str, dict[str, str]]:
     T0, T2 = _float_list(args.temps, expect=2, flag="--temps")
     _check.positive("t1", args.t1)
     c_low, c_high = feasible_midpoint_range(T0, T2, args.floor)
-    payload = {"c_low": c_low, "c_high": c_high, "floor": args.floor, "T0": T0, "T2": T2}
-    primary = json.dumps(payload, indent=2) + "\n"
+    primary = json_text({"c_low": c_low, "c_high": c_high, "floor": args.floor, "T0": T0, "T2": T2})
     extra: dict[str, str] = {}
     if args.sweep is not None:
         if args.sweep_out is None:
@@ -427,14 +411,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run one diagnostic, return the exit code."""
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        threads = _read_threads(os.environ.get(_THREADS_VAR))
         argv_with_config = _apply_config(raw_argv)
         parser = build_parser()
         try:
             args = parser.parse_args(argv_with_config)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        args.threads = threads  # validated; execution is sequential for determinism
         key = args.command if args.command != "cooling" else f"cooling {args.cooling_command}"
         supported = _FORMATS[key]
         if args.format is None:
@@ -445,15 +427,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         result = _DISPATCH[key](args)
         primary, extra = result if isinstance(result, tuple) else (result, {})
         _write_outputs([(args.out, primary), *extra.items()])
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except ParseError as err:
         print(f"expression error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
     except DiagnosticError as err:
         print(f"diagnostic failure: {err}", file=sys.stderr)
         return 3

@@ -16,14 +16,13 @@ heating, and a convex one can place the ambient below absolute zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from . import _check
-from ._fmt import format_float
+from ._fmt import DiagnosticError, format_float, json_text
 
 __all__ = [
     "ABSOLUTE_ZERO_C",
@@ -50,10 +49,6 @@ class FeasibilityVerdict(str, Enum):
     COLINEAR_DEGENERATE = "ColinearDegenerate"
     BELOW_ABSOLUTE_ZERO = "BelowAbsoluteZero"
     NON_MONOTONE_DATA = "NonMonotoneData"
-
-
-class DiagnosticError(RuntimeError):
-    """A diagnostic could not produce an answer (as opposed to bad usage)."""
 
 
 @dataclass(frozen=True)
@@ -105,35 +100,53 @@ def classify(
 def fit_three_point(obs: CoolingObservations, floor: float = ABSOLUTE_ZERO_C) -> CoolingFit:
     """Exact three-point fit, or a degenerate verdict when none exists.
 
-    Raises DiagnosticError when rounding leaves no finite fit: readings
-    so close that cancellation puts T_M at or past T0 or T1, so large
-    that T1^2 overflows, or a t1 so small that k overflows.
+    Doubles are integers over a power-of-two denominator, so the verdict
+    is decided exactly and T_M is rounded once.  Raises DiagnosticError
+    when T_M or k lies beyond the double range.
     """
     floor = _check.finite("floor", floor)
     if not obs.monotone_cooling:
         return CoolingFit(None, None, FeasibilityVerdict.NON_MONOTONE_DATA)
-    d = 2.0 * obs.T1 - obs.T0 - obs.T2
-    if d == 0.0:
+    U, V, N, D = _exact_fit(obs)
+    if U == V:
         return CoolingFit(None, None, FeasibilityVerdict.COLINEAR_DEGENERATE)
-    T_M = (obs.T1 * obs.T1 - obs.T0 * obs.T2) / d
-    # a rounded T_M can land on T0 itself, which would divide by zero below
-    if not math.isfinite(T_M) or T_M == obs.T0:
-        raise _degenerate(obs, f"ambient T_M={T_M!r} leaves no decay ratio")
-    ratio = (obs.T1 - T_M) / (obs.T0 - T_M)
-    # both differences share the sign of -d, so the ratio is positive
-    # unless cancellation has eaten every significant digit
-    if not ratio > 0.0:
-        raise _degenerate(obs, f"decay ratio {ratio!r} is not positive")
-    k = math.log(ratio) / obs.t1
-    if not math.isfinite(k):
-        raise _degenerate(obs, f"rate k={k!r} is not finite")
-    return CoolingFit(T_M, k, classify(T_M, k, obs, floor))
+    try:
+        T_M = N / D  # int / int rounds correctly
+    except OverflowError:
+        T_M = math.inf if N > 0 else -math.inf
+    if U < 2 * V and V < 2 * U:
+        log_ratio = math.log1p((V - U) / U)  # no cancellation next to ratio 1
+    elif abs(V.bit_length() - U.bit_length()) < 1000:
+        log_ratio = math.log(V / U)
+    else:  # V/U lies beyond the double range
+        log_ratio = math.log(V) - math.log(U)
+    k = log_ratio / obs.t1
+    if math.isinf(T_M) or math.isinf(k):
+        what = f"T_M={T_M!r}, k={k!r} of {obs.T0!r}, {obs.T1!r}, {obs.T2!r} at t1={obs.t1!r}"
+        raise DiagnosticError(f"the exact fit {what} lies beyond the double range")
+    p, q = floor.as_integer_ratio()
+    if N * q < p * D:
+        verdict = FeasibilityVerdict.BELOW_ABSOLUTE_ZERO
+    elif V > U:
+        verdict = FeasibilityVerdict.SIGN_CONTRADICTION
+    else:
+        verdict = FeasibilityVerdict.FEASIBLE
+    return CoolingFit(T_M, k, verdict)
 
 
-def _degenerate(obs: CoolingObservations, what: str) -> DiagnosticError:
-    return DiagnosticError(
-        f"{what}; readings {obs.T0!r}, {obs.T1!r}, {obs.T2!r} at t1={obs.t1!r} are numerically degenerate"
-    )
+def _exact_fit(obs: CoolingObservations) -> tuple[int, int, int, int]:
+    """Decay ratio V/U and ambient N/D (D > 0) of the readings as integers."""
+    (M0, M1, M2), L = _integers(obs.T0, obs.T1, obs.T2)
+    U, V = M0 - M1, M1 - M2
+    N, D = M1 * (U - V) - U * V, (U - V) * L
+    return (U, V, N, D) if D > 0 else (U, V, -N, -D)
+
+
+def _integers(*values: float) -> tuple[list[int], int]:
+    """Doubles as integers over one common denominator L, a power of two."""
+    ratios = [value.as_integer_ratio() for value in values]
+    L = max(d for _, d in ratios)
+    return [n * (L // d) for n, d in ratios], L
 
 
 def predict(T_M: float, k: float, T_start: float, t: float) -> float:
@@ -195,51 +208,43 @@ def feasible_midpoint_range(
     T0: float,
     T2: float,
     floor: float = ABSOLUTE_ZERO_C,
-    tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Midpoint readings compatible with an ambient at or above `floor`.
 
     For fixed endpoint readings T0 > T2, the implied ambient equals T2
     at c = T2 and falls monotonically to -infinity as c rises to the
     chord midpoint (T0 + T2)/2.  The feasible readings form (T2, c_high]
-    where c_high solves tm_of_midpoint(c) = floor; this returns
-    (T2, c_high) with the left end excluded.
+    where tm_of_midpoint(c_high) = floor, i.e. (c_high - floor)^2 =
+    (T0 - floor)(T2 - floor).  Returns (T2, c_high), left end excluded,
+    with c_high rounded once from the exact root.
     """
     T2 = _check.finite("T2", T2)
     T0 = _check.above("T0", T0, "T2", T2)
     floor = _check.finite("floor", floor)
-    if T2 - floor <= 0.0:
+    if T2 <= floor:
         raise DiagnosticError(
             f"floor {floor!r} is not below the final reading T2={T2!r}; no midpoint reading is feasible"
         )
-    mid = 0.5 * (T0 + T2)
-
-    def gap(c: float) -> float:
-        tm = tm_of_midpoint(c, T0, T2)
-        # the pole sits on the infeasible side; at c = mid the rounded
-        # 2*c - T0 - T2 can come out a hair positive instead of 0
-        if tm is None or c >= mid:
-            return -math.inf
-        return tm - floor
-
-    root, _ = bisect_root(gap, T2, mid, tol)
-    return (T2, root)
+    (M0, M2, F), L = _integers(T0, T2, floor)
+    P = (M0 - F) * (M2 - F)  # (c_high - floor)^2, times L^2
+    # F + sqrt(P) is 0 or at least 1/(3*sqrt(P)): this shift keeps 60 bits of it
+    shift = 64 + P.bit_length()
+    return (T2, ((F << shift) + math.isqrt(P << 2 * shift)) / (L << shift))
 
 
 def fit_json(fit: CoolingFit, obs: CoolingObservations) -> str:
-    if fit.T_M is None or fit.k is None:
-        residuals = None
-    else:
-        times = (0.0, obs.t1, 2.0 * obs.t1)
-        observed = (obs.T0, obs.T1, obs.T2)
-        residuals = [o - predict(fit.T_M, fit.k, obs.T0, t) for o, t in zip(observed, times)]
-    payload = {
-        "T_M": fit.T_M,
-        "k": fit.k,
-        "verdict": fit.verdict.value,
-        "residuals": residuals,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The fit as JSON.  Residuals T_n - (T_M + (T0 - T_M)*r^n) are exact for the
+    exact ratio r, so they show how T_M rounds; DiagnosticError past the double range."""
+    residuals = None
+    if fit.T_M is not None:
+        U, V, N, D = _exact_fit(obs)
+        a, b = fit.T_M.as_integer_ratio()
+        error = N * b - a * D  # (exact T_M - T_M) * D * b, with D * b > 0
+        try:
+            residuals = [error * (U**n - V**n) / (D * b * U**n) for n in range(3)]
+        except OverflowError:
+            raise DiagnosticError(f"a fit residual of {obs.T0!r}, {obs.T1!r}, {obs.T2!r} lies beyond the double range") from None
+    return json_text({"T_M": fit.T_M, "k": fit.k, "verdict": fit.verdict.value, "residuals": residuals})
 
 
 def sweep_csv(

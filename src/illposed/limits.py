@@ -15,14 +15,13 @@ origin (useful when an equation hides an isolated solution point).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from . import _check
-from ._fmt import format_float
+from ._fmt import format_float, json_text
 from .expr import (
     Binary,
     Call,
@@ -436,7 +435,7 @@ def limit_report_json(report: LimitReport) -> str:
             for p in report.paths
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(payload)
 
 
 def samples_csv(report: LimitReport, round_to: int | None = None) -> str:

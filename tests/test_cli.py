@@ -156,19 +156,58 @@ def test_cooling_range_infeasible_floor_exits_3(capsys):
     assert "diagnostic failure" in err
 
 
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 @pytest.mark.parametrize(
-    "t1, temps",
-    [("1", "26.025353896539,26.025353031012,26.025353"), ("0.5", "1e200,1e199,1e198"), ("1", "1,0.999999999,0")],
+    "argv, verdict",
+    [
+        # the float fit used to give up on these three as numerically degenerate
+        ("--t1 1 --temps 26.025353896539,26.025353031012,26.025353", "Feasible"),
+        ("--t1 0.5 --temps 1e200,1e199,1e198", "BelowAbsoluteZero"),
+        ("--t1 1 --temps 1,0.999999999,0", "SignContradiction"),
+        # the residual at 2*t1 used to overflow exp(k*t) into a traceback
+        ("--t1 1 --temps 0,-1e-150,-1e10", "SignContradiction"),
+        # 2*t1 used to overflow, printing an Infinity residual
+        ("--t1 1.7e308 --temps 0.1,5e-324,-273.15 --floor 3", "BelowAbsoluteZero"),
+    ],
 )
-def test_cooling_fit_on_degenerate_data_exits_3(tmp_path, capsys, t1, temps):
+def test_cooling_fit_prints_strict_json_at_the_extremes(capsys, argv, verdict):
+    assert run(["cooling", "fit", *argv.split()]) == 0
+    out, err = out_of(capsys)
+    assert err == ""
+    data = json.loads(out, parse_constant=_reject)
+    assert data["verdict"] == verdict
+    assert len(data["residuals"]) == 3
+
+
+@pytest.mark.parametrize(
+    "t1, temps, what",
+    [
+        ("1e-320", "40,35,31", "k=-inf"),
+        ("1", "1e308,0,-9.999999999999998e307", "T_M=-inf"),
+        ("1", "1.7e308,1.6999999999999997e308,-1e308", "fit residual"),
+    ],
+)
+def test_cooling_fit_beyond_the_double_range_exits_3(tmp_path, capsys, t1, temps, what):
     argv = ["cooling", "fit", "--t1", t1, "--temps", temps]
     assert run(argv) == 3
     out, err = out_of(capsys)
     assert out == ""
-    assert err.startswith("diagnostic failure:") and "numerically degenerate" in err
+    assert err.startswith("diagnostic failure:") and "beyond the double range" in err and what in err
     assert run(argv + ["--out", str(tmp_path / "fit.json")]) == 3
     assert out_of(capsys)[0] == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_json_output_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("illposed.cli.feasible_midpoint_range", lambda T0, T2, floor: (T2, float("nan")))
+    assert run(["cooling", "range", "--temps", "40,30"]) == 3
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("diagnostic failure:") and "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_cooling_range_checks_t1_without_sweep(capsys):
@@ -324,23 +363,6 @@ def test_config_rejected_twice(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("h=0.5\n", encoding="utf-8")
     assert run(EULER_ARGS + ["--config", str(cfg), "--config", str(cfg)]) == 1
-
-
-# --- environment -----------------------------------------------------------------
-
-
-def test_threads_variable_is_validated(monkeypatch, capsys):
-    monkeypatch.setenv("ILLPOSED_THREADS", "abc")
-    assert run(EULER_ARGS) == 1
-    monkeypatch.setenv("ILLPOSED_THREADS", "-2")
-    assert run(EULER_ARGS) == 1
-    monkeypatch.setenv("ILLPOSED_THREADS", "0")  # 0 = pick automatically
-    assert run(EULER_ARGS) == 0
-    monkeypatch.setenv("ILLPOSED_THREADS", "4")
-    out_of(capsys)
-    assert run(EULER_ARGS) == 0
-    out, _ = out_of(capsys)
-    assert out == EULER_GOLD
 
 
 # --- process-level checks ----------------------------------------------------------

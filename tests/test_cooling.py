@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from illposed.cooling import (
@@ -46,7 +46,10 @@ def test_feasible_triple_fits_exactly():
     obs = CoolingObservations(0.5, 40.0, 34.0, 30.0)
     fit = fit_three_point(obs)
     assert fit.T_M == 22.0
-    assert fit.k == -0.8109302162163289
+    assert fit.k == -0.8109302162163288
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        assert fit.k == float(mpmath.log(mpmath.mpf(2) / 3) / 0.5)  # ln(2/3)/t1, correctly rounded
     assert fit.verdict is FeasibilityVerdict.FEASIBLE
     for t, want in ((0.0, 40.0), (0.5, 34.0), (1.0, 30.0)):
         assert predict(fit.T_M, fit.k, obs.T0, t) == want
@@ -70,31 +73,64 @@ def test_non_monotone_data_is_rejected_first():
 
 def test_near_colinear_triple_implies_subzero_ambient():
     fit = fit_three_point(CoolingObservations(0.5, 40.0, 34.99, 30.0))
-    assert fit.T_M == -1215.0050000002495
+    assert fit.T_M == -1215.0050000002486
+    assert fit.T_M == float(_exact_ambient(40.0, 34.99, 30.0))
     assert fit.T_M < ABSOLUTE_ZERO_C
     assert fit.verdict is FeasibilityVerdict.BELOW_ABSOLUTE_ZERO
     assert fit.k < 0
 
 
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def _exact_ambient(T0, T1, T2):
+    u, v = Fraction(T0) - Fraction(T1), Fraction(T1) - Fraction(T2)
+    return Fraction(T1) - u * v / (u - v)
+
+
+@pytest.mark.parametrize(
+    "t1, temps, verdict",
+    [
+        # cancellation in the float formula used to leave a negative decay ratio
+        (1.0, (26.025353896539, 26.025353031012, 26.025353), FeasibilityVerdict.FEASIBLE),
+        # T1^2 and T0*T2 overflow in floats; the exact ambient is about -2.56e182
+        (0.5, (1e200, 1e199, 1e198), FeasibilityVerdict.BELOW_ABSOLUTE_ZERO),
+        # the exact ambient sits within rounding of T0
+        (1.0, (1.0, 0.999999999, 0.0), FeasibilityVerdict.SIGN_CONTRADICTION),
+    ],
+)
+def test_fit_is_exact_where_floats_cancel(t1, temps, verdict):
+    obs = CoolingObservations(t1, *temps)
+    fit = fit_three_point(obs)
+    assert fit.verdict is verdict
+    assert fit.T_M == float(_exact_ambient(*temps))
+    assert math.isfinite(fit.k)
+    json.loads(fit_json(fit, obs), parse_constant=_reject)
+
+
 @pytest.mark.parametrize(
     "t1, temps, what",
     [
-        # cancellation in T1^2 - T0*T2 puts T_M between the readings
-        (1.0, (26.025353896539, 26.025353031012, 26.025353), "decay ratio"),
-        # T1^2 and T0*T2 both overflow, so T_M is inf - inf
-        (0.5, (1e200, 1e199, 1e198), "T_M=nan"),
-        # T_M rounds to T0, so T0 - T_M is 0
-        (1.0, (1.0, 0.999999999, 0.0), "T_M=1.0"),
-        # ln(ratio)/t1 overflows
-        (1e-320, (40.0, 35.0, 31.0), "k=-inf"),
+        (1e-320, (40.0, 35.0, 31.0), "k=-inf"),  # ln(ratio)/t1 overflows
+        (1.0, (1e308, 0.0, -9.999999999999998e307), "T_M=-inf"),  # U - V is one unit in the last place
     ],
 )
-def test_numerically_degenerate_fit_is_a_diagnostic_failure(t1, temps, what):
+def test_fit_beyond_the_double_range_is_a_diagnostic_failure(t1, temps, what):
     obs = CoolingObservations(t1, *temps)
-    with pytest.raises(DiagnosticError, match="numerically degenerate") as info:
+    with pytest.raises(DiagnosticError, match="beyond the double range") as info:
         fit_three_point(obs)
     assert what in str(info.value)
     assert repr(temps[0]) in str(info.value)
+
+
+def test_residual_beyond_the_double_range_is_a_diagnostic_failure():
+    # T_M rounds to T0, so the model is flat at T0 and T2 - T0 overflows
+    obs = CoolingObservations(1.0, 1.7e308, 1.6999999999999997e308, -1e308)
+    fit = fit_three_point(obs)
+    assert fit.T_M == 1.7e308
+    with pytest.raises(DiagnosticError, match="fit residual"):
+        fit_json(fit, obs)
 
 
 def test_observation_validation():
@@ -150,8 +186,12 @@ def test_bisection_accepts_an_endpoint_root():
 def test_feasible_range_against_default_floor():
     lo, hi = feasible_midpoint_range(40.0, 30.0, ABSOLUTE_ZERO_C)
     assert lo == 30.0
-    assert hi == 34.959432780742645
+    assert hi == 34.95943266962795
     assert abs(hi - 34.9594) < 1e-4
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        floor = mpmath.mpf(ABSOLUTE_ZERO_C)
+        assert hi == float(floor + mpmath.sqrt((40 - floor) * (30 - floor)))  # correctly rounded
 
 
 def test_feasible_range_with_zero_floor_matches_geometric_mean():
@@ -169,7 +209,7 @@ def _assert_range_brackets_exact_root(T0, T2, floor=ABSOLUTE_ZERO_C, tol=1e-6):
     """The exact ambient T_M(c) falls from T2 to -inf on (T2, mid), so the
     exact root lies within tol of c_high exactly when T_M(c_high - tol)
     is above the floor and T_M(c_high + tol) is below it or past the pole."""
-    c_low, c_high = feasible_midpoint_range(T0, T2, floor, tol)
+    c_low, c_high = feasible_midpoint_range(T0, T2, floor)
     f0, f2, fl = Fraction(T0), Fraction(T2), Fraction(floor)
 
     def gap(c):
@@ -200,7 +240,7 @@ def test_feasible_range_matches_exact_root_on_random_pairs():
 
 
 def test_endpoint_of_feasible_range_is_actually_marginal():
-    _, hi = feasible_midpoint_range(40.0, 30.0, ABSOLUTE_ZERO_C, tol=1e-9)
+    _, hi = feasible_midpoint_range(40.0, 30.0, ABSOLUTE_ZERO_C)
     ambient = tm_of_midpoint(hi, 40.0, 30.0)
     assert abs(ambient - ABSOLUTE_ZERO_C) < 1e-3
 
@@ -270,6 +310,73 @@ def test_residuals_vanish_for_any_fitted_triple():
             assert predict(fit.T_M, fit.k, obs.T0, t) == pytest.approx(want, abs=1e-9)
 
 
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+DOUBLE_MAX = 1.7976931348623157e308
+
+
+def _float_or_none(value):
+    """float(value), or None when it lies beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+@given(
+    st.lists(FINITE_FLOATS, min_size=3, max_size=3),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    FINITE_FLOATS,
+)
+@settings(max_examples=400, deadline=None)
+def test_fit_matches_the_exact_oracle(temps, t1, floor):
+    T2, T1, T0 = sorted(temps)
+    assume(T0 > T1 > T2)
+    obs = CoolingObservations(t1, T0, T1, T2)
+    u, v = Fraction(T0) - Fraction(T1), Fraction(T1) - Fraction(T2)
+    if u == v:
+        assert fit_three_point(obs, floor).verdict is FeasibilityVerdict.COLINEAR_DEGENERATE
+        return
+    tm = Fraction(T1) - u * v / (u - v)
+    T_M = _float_or_none(tm)
+    k_estimate = (math.log(v.numerator * u.denominator) - math.log(v.denominator * u.numerator)) / t1
+    try:
+        fit = fit_three_point(obs, floor)
+    except DiagnosticError:
+        assert T_M is None or abs(k_estimate) > 0.999 * DOUBLE_MAX
+        return
+    assert fit.T_M == T_M
+    assert math.isfinite(fit.k)
+    if tm < Fraction(floor):
+        assert fit.verdict is FeasibilityVerdict.BELOW_ABSOLUTE_ZERO
+    elif v > u:
+        assert fit.verdict is FeasibilityVerdict.SIGN_CONTRADICTION
+    else:
+        assert fit.verdict is FeasibilityVerdict.FEASIBLE
+    # the data minus the model T_M + (T0 - T_M)*r^n, in exact arithmetic
+    residuals = [_float_or_none((tm - Fraction(T_M)) * (1 - (v / u) ** n)) for n in range(3)]
+    if None in residuals:
+        with pytest.raises(DiagnosticError, match="fit residual"):
+            fit_json(fit, obs)
+        return
+    data = json.loads(fit_json(fit, obs), parse_constant=_reject)
+    assert data["residuals"] == residuals
+
+
+@given(st.lists(FINITE_FLOATS, min_size=3, max_size=3))
+@settings(max_examples=400, deadline=None)
+def test_feasible_range_end_is_within_one_ulp_of_the_exact_root(values):
+    floor, T2, T0 = sorted(values)
+    assume(T0 > T2 > floor)
+    c_low, c_high = feasible_midpoint_range(T0, T2, floor)
+    assert c_low == T2
+    assert T2 <= c_high <= T0
+    # the exact root is floor + sqrt(square), and (c - floor)^2 increases for c > floor
+    square = (Fraction(T0) - Fraction(floor)) * (Fraction(T2) - Fraction(floor))
+    below, above = Fraction(c_high) - Fraction(math.ulp(c_high)), Fraction(c_high) + Fraction(math.ulp(c_high))
+    assert below <= floor or (below - Fraction(floor)) ** 2 <= square
+    assert (above - Fraction(floor)) ** 2 >= square
+
+
 # --- renderers ----------------------------------------------------------------
 
 
@@ -295,7 +402,11 @@ def test_sweep_csv_golden():
     assert text == (
         "c,T_M,k,verdict\n"
         "31,29.875,-4.3944491546724391,Feasible\n"
-        "32,29.333333333333332,-2.7725887222397807,Feasible\n"
+        "32,29.333333333333332,-2.7725887222397811,Feasible\n"
         "33,27.75,-1.6945957207744073,Feasible\n"
-        "34,22,-0.81093021621632888,Feasible\n"
+        "34,22,-0.81093021621632877,Feasible\n"
     )
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):  # k = ln(v/u)/t1 on the moved rows, correctly rounded
+        assert -2.7725887222397811 == float(mpmath.log(mpmath.mpf(2) / 8) / 0.5)
+        assert -0.81093021621632877 == float(mpmath.log(mpmath.mpf(4) / 6) / 0.5)

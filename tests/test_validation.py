@@ -90,7 +90,6 @@ CASES = [
     ("feasible_midpoint_range.T0", FINITE + (30.0, 20.0), lambda v: feasible_midpoint_range(v, 30.0)),
     ("feasible_midpoint_range.T2", FINITE + (40.0, 50.0), lambda v: feasible_midpoint_range(40.0, v)),
     ("feasible_midpoint_range.floor", FINITE, lambda v: feasible_midpoint_range(40.0, 30.0, v)),
-    ("feasible_midpoint_range.tol", POSITIVE, lambda v: feasible_midpoint_range(40.0, 30.0, tol=v)),
     ("sweep_csv.T0", FINITE + (30.0, 20.0), lambda v: sweep_csv(v, 30.0, 3)),
     ("sweep_csv.T2", FINITE + (40.0, 50.0), lambda v: sweep_csv(40.0, v, 3)),
     ("sweep_csv.n", COUNT, lambda v: sweep_csv(40.0, 30.0, v)),
