@@ -65,12 +65,6 @@ class BlowupReport:
     evidence: tuple[EvidenceRow, ...]
 
 
-class _LevelRun(NamedTuple):
-    h: float
-    crossing_x: float | None
-    trajectory: Trajectory
-
-
 def _grid_steps(x0: float, x_max: float, h: float) -> int:
     # largest n with x0 + n*h <= x_max, up to a hair of slop
     n = int(math.floor(_check.finite(f"number of steps for step size {h!r}", (x_max - x0) / h + 1e-9)))
@@ -80,13 +74,13 @@ def _grid_steps(x0: float, x_max: float, h: float) -> int:
 
 
 def _crossing(trajectory: Trajectory, threshold: float) -> float | None:
-    for p in trajectory.points:
-        if abs(p.y) >= threshold:
-            return p.x
+    for x, y in zip(trajectory.xs, trajectory.ys):
+        if abs(y) >= threshold:
+            return x
     if trajectory.terminated_early:
         # the integrator stopped (overflow guard or a singular rhs);
         # either way the run escaped, so the terminating step counts
-        return trajectory.final.x
+        return trajectory.xs[-1]
     return None
 
 
@@ -111,19 +105,21 @@ def _run_levels(
     h0: float,
     levels: int,
     integrate: Callable[[IVP, float, int], Trajectory],
-) -> list[_LevelRun]:
-    runs = []
+) -> tuple[tuple[EvidenceRow, ...], Trajectory]:
+    """One evidence row per level, and the finest level's trajectory."""
+    rows = []
     for level in range(levels):
         h = h0 / (2.0**level)
         trajectory = integrate(ivp, h, _grid_steps(ivp.x0, x_max, h))
-        runs.append(_LevelRun(h, _crossing(trajectory, threshold), trajectory))
-    return runs
+        crossing = _crossing(trajectory, threshold)
+        rows.append(EvidenceRow(h, crossing, None if crossing is not None else trajectory.ys[-1]))
+    return tuple(rows), trajectory
 
 
-def _classify(runs: list[_LevelRun]) -> tuple[str, str | None, tuple[float, float] | None]:
+def _classify(rows: tuple[EvidenceRow, ...]) -> tuple[str, str | None, tuple[float, float] | None]:
     """Returns (kind, reason, bracket) with kind in detected/bounded/inconclusive."""
-    crossings = [r.crossing_x for r in runs]
-    steps = [r.h for r in runs]
+    crossings = [r.crossing_x for r in rows]
+    steps = [r.h for r in rows]
     crossed = [c is not None for c in crossings]
     if not any(crossed):
         return "bounded", None, None
@@ -131,7 +127,7 @@ def _classify(runs: list[_LevelRun]) -> tuple[str, str | None, tuple[float, floa
         hit = sum(crossed)
         return (
             "inconclusive",
-            f"threshold crossed at {hit} of {len(runs)} refinement levels; evidence is mixed",
+            f"threshold crossed at {hit} of {len(rows)} refinement levels; evidence is mixed",
             None,
         )
     # all levels crossed: demand a Cauchy-decreasing crossing sequence.
@@ -183,18 +179,12 @@ def estimate_blowup(
     h0 = _check.positive("h0", h0)
     levels = _check.integer("levels", levels, 3)
 
-    euler_runs = _run_levels(ivp, x_max, threshold, h0, levels, integrate_euler)
-    rk4_runs = _run_levels(ivp, x_max, threshold, h0, levels, integrate_rk4)
-    evidence = tuple(
-        EvidenceRow(r.h, r.crossing_x, None if r.crossing_x is not None else r.trajectory.final.y)
-        for r in euler_runs
-    )
-
-    euler_kind, euler_reason, bracket = _classify(euler_runs)
-    rk4_kind, rk4_reason, _ = _classify(rk4_runs)
+    evidence, finest = _run_levels(ivp, x_max, threshold, h0, levels, integrate_euler)
+    euler_kind, euler_reason, bracket = _classify(evidence)
+    rk4_kind, rk4_reason, _ = _classify(_run_levels(ivp, x_max, threshold, h0, levels, integrate_rk4)[0])
 
     if euler_kind == "detected" and rk4_kind == "detected":
-        last = euler_runs[-1].crossing_x
+        last = evidence[-1].crossing_x
         assert bracket is not None and last is not None
         return BlowupReport(
             verdict=BlowupVerdict.BLOWUP_DETECTED,
@@ -207,14 +197,13 @@ def estimate_blowup(
             evidence=evidence,
         )
     if euler_kind == "bounded" and rk4_kind == "bounded":
-        finest = euler_runs[-1].trajectory
         return BlowupReport(
             verdict=BlowupVerdict.BOUNDED_ON_INTERVAL,
             x_estimate=None,
             bracket=None,
             tolerance=None,
-            x_end=finest.final.x,
-            max_abs_y=max(abs(p.y) for p in finest.points),
+            x_end=finest.xs[-1],
+            max_abs_y=max(map(abs, finest.ys)),
             reason=None,
             evidence=evidence,
         )

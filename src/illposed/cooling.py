@@ -115,12 +115,16 @@ def fit_three_point(obs: CoolingObservations, floor: float = ABSOLUTE_ZERO_C) ->
     except OverflowError:
         T_M = math.inf if N > 0 else -math.inf
     if U < 2 * V and V < 2 * U:
-        log_ratio = math.log1p((V - U) / U)  # no cancellation next to ratio 1
+        x = (V - U) / U
+        if abs(x) < 2.0**-1022:  # x is subnormal and has lost bits; log1p(x) rounds to x
+            p, q = obs.t1.as_integer_ratio()
+            k = (V - U) * q / (U * p)
+        else:
+            k = math.log1p(x) / obs.t1  # no cancellation next to ratio 1
     elif abs(V.bit_length() - U.bit_length()) < 1000:
-        log_ratio = math.log(V / U)
+        k = math.log(V / U) / obs.t1
     else:  # V/U lies beyond the double range
-        log_ratio = math.log(V) - math.log(U)
-    k = log_ratio / obs.t1
+        k = (math.log(V) - math.log(U)) / obs.t1
     if math.isinf(T_M) or math.isinf(k):
         what = f"T_M={T_M!r}, k={k!r} of {obs.T0!r}, {obs.T1!r}, {obs.T2!r} at t1={obs.t1!r}"
         raise DiagnosticError(f"the exact fit {what} lies beyond the double range")
@@ -257,7 +261,7 @@ def sweep_csv(
 ) -> str:
     """Fit across n midpoint readings strictly between T2 and the chord
     midpoint, one CSV row per reading; the tail rows walk into the
-    infeasible band."""
+    infeasible band.  A reading with no fit gets empty T_M and k cells."""
     n = _check.integer("n", n, 1)
     T2 = _check.finite("T2", T2)
     T0 = _check.above("T0", T0, "T2", T2)
@@ -267,9 +271,6 @@ def sweep_csv(
     for i in range(1, n + 1):
         c = T2 + i * step
         fit = fit_three_point(CoolingObservations(t1, T0, c, T2), floor)
-        assert fit.T_M is not None and fit.k is not None
-        lines.append(
-            f"{format_float(c, round_to)},{format_float(fit.T_M, round_to)},"
-            f"{format_float(fit.k, round_to)},{fit.verdict.value}"
-        )
+        T_M, k = ("", "") if fit.T_M is None else (format_float(fit.T_M, round_to), format_float(fit.k, round_to))
+        lines.append(f"{format_float(c, round_to)},{T_M},{k},{fit.verdict.value}")
     return "\n".join(lines) + "\n"

@@ -2,7 +2,8 @@
 
 The grid is never accumulated: the abscissa of step k is always
 x0 + k*h, recomputed from the integers, so a trajectory's x column is
-reproducible to the last bit regardless of how far it runs.  Solutions
+reproducible to the last bit regardless of how far it runs; a grid whose
+last abscissa overflows is refused before the first step.  Solutions
 that leave the finite doubles terminate cleanly instead of propagating
 infinities; the trajectory records why it stopped.
 """
@@ -10,6 +11,7 @@ infinities; the trajectory records why it stopped.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -60,14 +62,21 @@ class IVP:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Grid abscissas xs[k] and values ys[k], k = 0, 1, ..., as double columns."""
+
     h: float
-    points: tuple[TrajectoryPoint, ...]
+    xs: array
+    ys: array
     terminated_early: bool = False
     termination_reason: str | None = None
 
     @property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        return tuple(map(TrajectoryPoint, range(len(self.xs)), self.xs, self.ys))
+
+    @property
     def final(self) -> TrajectoryPoint:
-        return self.points[-1]
+        return TrajectoryPoint(len(self.xs) - 1, self.xs[-1], self.ys[-1])
 
 
 class VariabilityRow(NamedTuple):
@@ -112,27 +121,28 @@ def rk4_step(rhs: Expression, x: float, y: float, h: float) -> float:
 def _integrate(ivp: IVP, h: float, n_steps: int, advance) -> Trajectory:
     h = _check.positive("step size", h)
     n_steps = _check.integer("number of steps", n_steps, 1)
+    x0 = ivp.x0
+    # x0 + k*h never decreases in k, so a finite last abscissa bounds the grid
+    _check.finite(f"last grid abscissa x0 + {n_steps}*h", x0 + _check.finite("number of steps", n_steps) * h)
     f = compile_scalar(ivp.rhs, ("x", "y"))
-    points = [TrajectoryPoint(0, ivp.x0, ivp.y0)]
-    y = ivp.y0
-    for k in range(n_steps):
-        x = ivp.x0 + k * h
+    xs, ys = array("d", [x0]), array("d", [ivp.y0])
+    x, y, reason = x0, ivp.y0, None
+    for k in range(1, n_steps + 1):
         try:
             y = advance(f, x, y, h)
         except EvalError as err:
-            return Trajectory(h, tuple(points), True, f"rhs evaluation failed at x={x!r}: {err}")
-        x_next = ivp.x0 + (k + 1) * h
-        if not math.isfinite(y) or abs(y) >= OVERFLOW_GUARD:
+            reason = f"rhs evaluation failed at x={x!r}: {err}"
+            break
+        x = x0 + k * h
+        if not abs(y) < OVERFLOW_GUARD:  # NaN fails this too
             if math.isfinite(y):
-                points.append(TrajectoryPoint(k + 1, x_next, y))
-            return Trajectory(
-                h,
-                tuple(points),
-                True,
-                f"overflow guard: |y| reached {OVERFLOW_GUARD:g} at x={x_next!r}",
-            )
-        points.append(TrajectoryPoint(k + 1, x_next, y))
-    return Trajectory(h, tuple(points))
+                xs.append(x)
+                ys.append(y)
+            reason = f"overflow guard: |y| reached {OVERFLOW_GUARD:g} at x={x!r}"
+            break
+        xs.append(x)
+        ys.append(y)
+    return Trajectory(h, xs, ys, reason is not None, reason)
 
 
 def integrate_euler(ivp: IVP, h: float, n_steps: int) -> Trajectory:
@@ -163,8 +173,8 @@ def variability_table(ivp: IVP, x_target: float, step_sizes: Sequence[float]) ->
         if n < 1 or abs(ivp.x0 + n * h - x_target) > 1e-9 * max(1.0, abs(span)):
             raise ValueError(f"step size {h!r} does not divide the interval [{ivp.x0!r}, {x_target!r}]")
         trajectory = integrate_euler(ivp, h, n)
-        if trajectory.final.k == n:
-            rows.append(VariabilityRow(h, trajectory.final.y, False))
+        if len(trajectory.xs) == n + 1:
+            rows.append(VariabilityRow(h, trajectory.ys[-1], False))
         else:
             rows.append(VariabilityRow(h, None, True))
     return rows
@@ -172,8 +182,8 @@ def variability_table(ivp: IVP, x_target: float, step_sizes: Sequence[float]) ->
 
 def trajectory_csv(trajectory: Trajectory, round_to: int | None = None) -> str:
     lines = ["n,x_n,y_n"]
-    for p in trajectory.points:
-        lines.append(f"{p.k},{format_float(p.x, round_to)},{format_float(p.y, round_to)}")
+    for k, (x, y) in enumerate(zip(trajectory.xs, trajectory.ys)):
+        lines.append(f"{k},{format_float(x, round_to)},{format_float(y, round_to)}")
     return "\n".join(lines) + "\n"
 
 

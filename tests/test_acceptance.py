@@ -5,6 +5,7 @@ reports a single `[ACCEPTANCE n] PASS/FAIL - ...` line through the
 `acceptance` fixture; the lines are replayed in the terminal summary.
 """
 
+import gc
 import math
 import random
 import time
@@ -50,6 +51,7 @@ def run_euler_rows(h: str, steps: str, capsys) -> list[float]:
 def test_acceptance_1_table_reproduction(acceptance, capsys):
     problems = []
     run_euler_rows("0.2", "10", capsys)  # warm the parser and import caches
+    gc.collect()  # a full collection of the test process's heap outlasts the two runs
     t0 = time.perf_counter()
     col02 = run_euler_rows("0.2", "10", capsys)
     col04 = run_euler_rows("0.4", "5", capsys)

@@ -8,6 +8,7 @@ independent rerun of the same fixed-step recurrences.
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -139,3 +140,18 @@ def test_report_json_is_deterministic():
     a = report_json(estimate_blowup(tan_ivp(), 2.0, 1e8, 0.01, 4))
     b = report_json(estimate_blowup(tan_ivp(), 2.0, 1e8, 0.01, 4))
     assert a == b
+
+
+@pytest.mark.parametrize(("rhs", "y0"), [("-y+sin(x)", 1.0), ("y^2+1", 0.0)])
+def test_refinement_keeps_only_the_finest_euler_trajectory(rhs, y0):
+    # 8 levels on [0, 2] from h0 = 0.01: the finest grid has 25,601 points
+    # of 16 bytes (x and y); storing every level would take about 16 MB
+    ivp = IVP(parse(rhs), 0.0, y0)
+    estimate_blowup(ivp, 2.0, 1e8, 0.01, 3)  # compile and warm caches first
+    tracemalloc.start()
+    try:
+        estimate_blowup(ivp, 2.0, 1e8, 0.01, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 25_601

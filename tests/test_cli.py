@@ -1,10 +1,15 @@
 """Command-line interface: golden outputs, exit codes, config, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illposed.cli import run
 
@@ -210,6 +215,16 @@ def test_non_finite_json_output_exits_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_cooling_sweep_writes_rows_without_a_fit(tmp_path, capsys):
+    sweep = tmp_path / "s.csv"
+    argv = ["cooling", "range", "--temps", "30.000000000000007,30", "--sweep", "3", "--sweep-out", str(sweep)]
+    assert run(argv) == 0
+    assert out_of(capsys)[1] == ""
+    assert sweep.read_text(encoding="utf-8") == (
+        "c,T_M,k,verdict\n30,,,NonMonotoneData\n30,,,NonMonotoneData\n30.000000000000004,,,ColinearDegenerate\n"
+    )
+
+
 def test_cooling_range_checks_t1_without_sweep(capsys):
     assert run(["cooling", "range", "--temps", "40,30", "--t1", "-1"]) == 1
     out, err = out_of(capsys)
@@ -293,6 +308,17 @@ def test_bad_value_exits_1(capsys):
         assert run(argv) == 1
         _, err = out_of(capsys)
         assert "step size" in err
+
+
+def test_grid_past_the_double_range_exits_1(capsys):
+    for argv in (
+        "euler --rhs x^-1 --x0 1.7e308 --y0 0 --h 1.7e308 --steps 3",
+        "euler --rhs 1 --x0 1e308 --y0 0 --h 1e308 --steps 3 --method rk4",
+    ):
+        assert run(argv.split()) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert "last grid abscissa x0 + 3*h must be finite, got inf" in err
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -444,3 +470,60 @@ def test_numpy_is_imported_only_by_the_scans(tmp_path, capsys):
     for argv, (code, out) in zip(README_SCAN_COMMANDS, scan_results):
         assert run(argv) == 0
         assert (code, out) == (0, out_of(capsys)[0])
+
+
+# 0, the edges of the double range, and 30 with the doubles just above it
+_THIRTY_UP = math.nextafter(30.0, 31.0)
+HOSTILE = tuple(map(repr, (0.0, 1e308, -1e308, 1.7e308, 5e-324, 30.0, _THIRTY_UP, math.nextafter(_THIRTY_UP, 31.0))))
+_NUMBER = st.sampled_from(HOSTILE)
+_EULER_ARGV = st.builds(
+    lambda rhs, x0, y0, h, steps, method: [
+        "euler", f"--rhs={rhs}", f"--x0={x0}", f"--y0={y0}", f"--h={h}", f"--steps={steps}", f"--method={method}"
+    ],
+    st.sampled_from(("0", "1", "x^-1", "y^2+1", "-y+sin(x)")),
+    _NUMBER,
+    _NUMBER,
+    _NUMBER,
+    st.integers(0, 50),
+    st.sampled_from(("euler", "rk4")),
+)
+_SWEEP_ARGV = st.builds(
+    lambda T0, T2, n, floor, t1: [
+        "cooling", "range", f"--temps={T0},{T2}", f"--sweep={n}", f"--floor={floor}", f"--t1={t1}"
+    ],
+    _NUMBER,
+    _NUMBER,
+    st.integers(0, 50),
+    st.sampled_from(("-273.15",) + HOSTILE),
+    st.sampled_from(("0.5",) + HOSTILE),
+)
+
+
+def _assert_finite_csv(text):
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:  # an empty cell or a verdict
+                continue
+            assert math.isfinite(value), line
+
+
+@given(_EULER_ARGV | _SWEEP_ARGV)
+@settings(max_examples=150, deadline=None)
+def test_hostile_numbers_never_give_a_traceback_or_a_non_finite_cell(tmp_path_factory, argv):
+    sweep = tmp_path_factory.getbasetemp() / "sweep.csv"
+    if argv[0] == "cooling":
+        argv = argv + [f"--sweep-out={sweep}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+    elif argv[0] == "euler":
+        _assert_finite_csv(out.getvalue())
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject)
+        _assert_finite_csv(sweep.read_text(encoding="utf-8"))

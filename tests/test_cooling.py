@@ -124,6 +124,21 @@ def test_fit_beyond_the_double_range_is_a_diagnostic_failure(t1, temps, what):
     assert repr(temps[0]) in str(info.value)
 
 
+@pytest.mark.parametrize("t1", [2.0**-100, 1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("T2", [5e-324, -5e-324])
+def test_k_is_within_one_ulp_when_the_ratio_offset_is_subnormal(t1, T2):
+    # (V - U)/U is about 2^-1040, where a double keeps only a few of its bits
+    mpmath = pytest.importorskip("mpmath")
+    obs = CoolingObservations(t1, 3 * 2.0**-35, 3 * 2.0**-36, T2)
+    k = fit_three_point(obs).k
+    u, v = Fraction(obs.T0) - Fraction(obs.T1), Fraction(obs.T1) - Fraction(obs.T2)
+    with mpmath.workprec(3000):
+        ratio = mpmath.mpf(v.numerator * u.denominator) / (v.denominator * u.numerator)
+        exact = mpmath.log(ratio) / mpmath.mpf(t1)
+        assert abs(mpmath.mpf(k) - exact) <= math.ulp(float(exact))
+    assert math.copysign(1.0, k) == (-1.0 if T2 > 0 else 1.0)  # k underflows to a signed zero at t1 = 1e300
+
+
 def test_residual_beyond_the_double_range_is_a_diagnostic_failure():
     # T_M rounds to T0, so the model is flat at T0 and T2 - T0 overflows
     obs = CoolingObservations(1.0, 1.7e308, 1.6999999999999997e308, -1e308)
@@ -410,3 +425,13 @@ def test_sweep_csv_golden():
     with mpmath.workprec(200):  # k = ln(v/u)/t1 on the moved rows, correctly rounded
         assert -2.7725887222397811 == float(mpmath.log(mpmath.mpf(2) / 8) / 0.5)
         assert -0.81093021621632877 == float(mpmath.log(mpmath.mpf(4) / 6) / 0.5)
+
+
+def test_sweep_rows_without_a_fit_have_empty_cells():
+    # every midpoint reading rounds onto T2 or onto the chord midpoint
+    assert sweep_csv(30.000000000000007, 30.0, 3) == (
+        "c,T_M,k,verdict\n"
+        "30,,,NonMonotoneData\n"
+        "30,,,NonMonotoneData\n"
+        "30.000000000000004,,,ColinearDegenerate\n"
+    )

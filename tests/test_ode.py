@@ -15,6 +15,7 @@ from illposed.expr import parse
 from illposed.ode import (
     IVP,
     OVERFLOW_GUARD,
+    TrajectoryPoint,
     euler_step,
     integrate_euler,
     integrate_rk4,
@@ -167,6 +168,12 @@ def test_domain_error_in_rhs_stops_the_run():
 # --- validation -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("integrate", [integrate_euler, integrate_rk4])
+def test_grid_may_end_at_the_top_of_the_double_range(integrate):
+    # only a last abscissa x0 + n*h that overflows is refused
+    assert integrate(IVP(parse("0"), 0.0, 0.0), 5e307, 3).final == (3, 3 * 5e307, 0.0)
+
+
 def test_ivp_rejects_unknown_variables():
     with pytest.raises(ValueError):
         IVP(parse("y+z"), 0.0, 0.0)
@@ -220,6 +227,19 @@ def test_variability_flags_escaped_rows():
 def test_trajectory_csv_golden():
     text = trajectory_csv(integrate_euler(tan_ivp(), 0.5, 2))
     assert text == "n,x_n,y_n\n0,0,0\n1,0.5,0.5\n2,1,1.125\n"
+
+
+def test_trajectory_csv_keeps_x0_itself():
+    # x_0 is x0, not x0 + 0*h, which would turn -0.0 into 0.0
+    text = trajectory_csv(integrate_euler(IVP(parse("1"), -0.0, -0.0), 0.5, 2))
+    assert text == "n,x_n,y_n\n0,-0,-0\n1,0.5,0.5\n2,1,1\n"
+
+
+def test_points_and_final_are_views_of_the_double_columns():
+    tr = integrate_rk4(tan_ivp(), 0.2, 3)
+    assert tr.xs.typecode == tr.ys.typecode == "d"
+    assert tr.points == tuple(TrajectoryPoint(k, x, y) for k, (x, y) in enumerate(zip(tr.xs, tr.ys)))
+    assert tr.final == tr.points[-1] == (3, tr.xs[-1], tr.ys[-1])
 
 
 def test_trajectory_csv_rounding():

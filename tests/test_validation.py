@@ -66,10 +66,10 @@ CASES = [
     ("IVP.x0", FINITE, lambda v: IVP(IVP0.rhs, v, 0.0)),
     ("IVP.y0", FINITE, lambda v: IVP(IVP0.rhs, 0.0, v)),
     ("IVP.rhs", ("y+z", "t"), lambda v: IVP(parse(v), 0.0, 0.0)),
-    ("integrate_euler.h", POSITIVE, lambda v: integrate_euler(IVP0, v, 10)),
-    ("integrate_euler.n_steps", COUNT, lambda v: integrate_euler(IVP0, 0.1, v)),
-    ("integrate_rk4.h", POSITIVE, lambda v: integrate_rk4(IVP0, v, 10)),
-    ("integrate_rk4.n_steps", COUNT, lambda v: integrate_rk4(IVP0, 0.1, v)),
+    ("integrate_euler.h", POSITIVE + (1e308,), lambda v: integrate_euler(IVP0, v, 10)),
+    ("integrate_euler.n_steps", COUNT + (BIG,), lambda v: integrate_euler(IVP0, 0.1, v)),
+    ("integrate_rk4.h", POSITIVE + (1e308,), lambda v: integrate_rk4(IVP0, v, 10)),
+    ("integrate_rk4.n_steps", COUNT + (BIG,), lambda v: integrate_rk4(IVP0, 0.1, v)),
     ("variability_table.x_target", FINITE + (0.0, -1.0), lambda v: variability_table(IVP0, v, [0.1])),
     ("variability_table.step_sizes", STEP, lambda v: variability_table(IVP0, 1.0, [0.1, v])),
     ("threshold_crossing.h", STEP, lambda v: threshold_crossing(IVP0, v, 2.0, 1e8)),
