@@ -23,7 +23,6 @@ from .cooling import (
     DiagnosticError,
     FeasibilityVerdict,
     bisect_root,
-    classify,
     feasible_midpoint_range,
     fit_three_point,
     predict,
@@ -119,7 +118,6 @@ __all__ = [
     "CoolingObservations",
     "CoolingFit",
     "fit_three_point",
-    "classify",
     "predict",
     "tm_of_midpoint",
     "bisect_root",

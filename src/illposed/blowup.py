@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import _check
 from ._fmt import json_text
-from .ode import IVP, Trajectory, integrate_euler, integrate_rk4
+from .ode import OVERFLOW_GUARD, IVP, Trajectory, _euler_advance, _integrate, _rk4_advance
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -73,15 +73,15 @@ def _grid_steps(x0: float, x_max: float, h: float) -> int:
     return n
 
 
-def _crossing(trajectory: Trajectory, threshold: float) -> float | None:
-    for x, y in zip(trajectory.xs, trajectory.ys):
-        if abs(y) >= threshold:
-            return x
+def _level(ivp: IVP, x_max: float, threshold: float, h: float, advance) -> tuple[EvidenceRow, Trajectory | None]:
+    """Evidence row of one level, run until its first crossing, and its trajectory (None if |y0| crosses)."""
+    n = _grid_steps(ivp.x0, x_max, h)
+    if abs(ivp.y0) >= threshold:
+        return EvidenceRow(h, ivp.x0, None), None
+    trajectory = _integrate(ivp, h, n, advance, min(threshold, OVERFLOW_GUARD))
     if trajectory.terminated_early:
-        # the integrator stopped (overflow guard or a singular rhs);
-        # either way the run escaped, so the terminating step counts
-        return trajectory.xs[-1]
-    return None
+        return EvidenceRow(h, trajectory.xs[-1], None), trajectory
+    return EvidenceRow(h, None, trajectory.ys[-1]), trajectory
 
 
 def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> float | None:
@@ -89,30 +89,23 @@ def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> fl
 
     Returns None when the trajectory stays below the threshold all the
     way to x_max.  A run that terminates early (overflow guard, singular
-    right-hand side) counts as crossing at its terminating step.
+    right-hand side) counts as crossing at its terminating step, and one
+    whose |y0| already reaches the threshold crosses at x0.
     """
     x_max = _check.above("x_max", x_max, "x0", ivp.x0)
     threshold = _check.positive("threshold", threshold)
     h = _check.positive("step size", h)
-    trajectory = integrate_euler(ivp, h, _grid_steps(ivp.x0, x_max, h))
-    return _crossing(trajectory, threshold)
+    return _level(ivp, x_max, threshold, h, _euler_advance)[0].crossing_x
 
 
 def _run_levels(
-    ivp: IVP,
-    x_max: float,
-    threshold: float,
-    h0: float,
-    levels: int,
-    integrate: Callable[[IVP, float, int], Trajectory],
-) -> tuple[tuple[EvidenceRow, ...], Trajectory]:
+    ivp: IVP, x_max: float, threshold: float, h0: float, levels: int, advance
+) -> tuple[tuple[EvidenceRow, ...], Trajectory | None]:
     """One evidence row per level, and the finest level's trajectory."""
     rows = []
     for level in range(levels):
-        h = h0 / (2.0**level)
-        trajectory = integrate(ivp, h, _grid_steps(ivp.x0, x_max, h))
-        crossing = _crossing(trajectory, threshold)
-        rows.append(EvidenceRow(h, crossing, None if crossing is not None else trajectory.ys[-1]))
+        row, trajectory = _level(ivp, x_max, threshold, h0 / (2.0**level), advance)
+        rows.append(row)
     return tuple(rows), trajectory
 
 
@@ -179,9 +172,9 @@ def estimate_blowup(
     h0 = _check.positive("h0", h0)
     levels = _check.integer("levels", levels, 3)
 
-    evidence, finest = _run_levels(ivp, x_max, threshold, h0, levels, integrate_euler)
+    evidence, finest = _run_levels(ivp, x_max, threshold, h0, levels, _euler_advance)
     euler_kind, euler_reason, bracket = _classify(evidence)
-    rk4_kind, rk4_reason, _ = _classify(_run_levels(ivp, x_max, threshold, h0, levels, integrate_rk4)[0])
+    rk4_kind, rk4_reason, _ = _classify(_run_levels(ivp, x_max, threshold, h0, levels, _rk4_advance)[0])
 
     if euler_kind == "detected" and rk4_kind == "detected":
         last = evidence[-1].crossing_x

@@ -31,7 +31,6 @@ __all__ = [
     "CoolingObservations",
     "CoolingFit",
     "fit_three_point",
-    "classify",
     "predict",
     "tm_of_midpoint",
     "bisect_root",
@@ -75,26 +74,6 @@ class CoolingFit:
     T_M: float | None
     k: float | None
     verdict: FeasibilityVerdict
-
-
-def classify(
-    T_M: float,
-    k: float,
-    obs: CoolingObservations,
-    floor: float = ABSOLUTE_ZERO_C,
-) -> FeasibilityVerdict:
-    """Physical feasibility of a fitted (T_M, k) pair.
-
-    The floor check outranks the sign check: an ambient below absolute
-    zero is the stronger impossibility, whatever the sign of k.
-    """
-    if not obs.monotone_cooling:
-        return FeasibilityVerdict.NON_MONOTONE_DATA
-    if T_M < floor:
-        return FeasibilityVerdict.BELOW_ABSOLUTE_ZERO
-    if k >= 0.0:
-        return FeasibilityVerdict.SIGN_CONTRADICTION
-    return FeasibilityVerdict.FEASIBLE
 
 
 def fit_three_point(obs: CoolingObservations, floor: float = ABSOLUTE_ZERO_C) -> CoolingFit:
@@ -265,7 +244,9 @@ def sweep_csv(
     n = _check.integer("n", n, 1)
     T2 = _check.finite("T2", T2)
     T0 = _check.above("T0", T0, "T2", T2)
-    mid = 0.5 * (T0 + T2)
+    total = T0 + T2
+    # readings past half the double range overflow the sum; halving first rounds only once too
+    mid = 0.5 * total if math.isfinite(total) else 0.5 * T0 + 0.5 * T2
     step = (mid - T2) / (n + 1)
     lines = ["c,T_M,k,verdict"]
     for i in range(1, n + 1):

@@ -529,6 +529,7 @@ def _array_namespace() -> dict[str, object]:
 
     return {
         "__builtins__": {},
+        "F64": np.float64,
         "POW": np.power,
         "POW2": np.square,
         "POW3": lambda a: a * a * a,
@@ -595,7 +596,8 @@ def compile_scalar(expr: Expression, params: Sequence[str] = ("x", "y")) -> Call
 
 def _array_code(expr: Expression) -> str:
     if isinstance(expr, Literal):
-        return repr(expr.value)
+        # a numpy scalar, so literal-only subtrees such as 1/0 also run under errstate
+        return f"F64({expr.value!r})"
     if isinstance(expr, Variable):
         return expr.name
     if isinstance(expr, Unary):

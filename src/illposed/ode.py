@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import _check
 from ._fmt import format_float
-from .expr import EvalError, Expression, compile_scalar, evaluate
+from .expr import EvalError, Expression, compile_scalar
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 # |y| at or past this magnitude counts as numerical escape; well clear
-# of both every threshold the blow-up diagnostics use and the 1.8e308
-# double ceiling, so the guard fires before arithmetic can overflow.
+# of the 1.8e308 double ceiling, so the guard fires before arithmetic
+# can overflow.  A blow-up threshold above it escapes at the guard.
 OVERFLOW_GUARD = 1e300
 
 
@@ -85,13 +85,6 @@ class VariabilityRow(NamedTuple):
     escaped: bool
 
 
-def _point_evaluator(rhs: Expression) -> Callable[[float, float], float]:
-    def f(x: float, y: float) -> float:
-        return evaluate(rhs, {"x": x, "y": y})
-
-    return f
-
-
 def _euler_advance(f: Callable[[float, float], float], x: float, y: float, h: float) -> float:
     return y + f(x, y) * h
 
@@ -110,15 +103,16 @@ def euler_step(rhs: Expression, x: float, y: float, h: float) -> float:
     Uses the same arithmetic, in the same order, as integrate_euler, so
     stepping manually reproduces a trajectory bit for bit.
     """
-    return _euler_advance(_point_evaluator(rhs), x, y, h)
+    return _euler_advance(compile_scalar(rhs, ("x", "y")), x, y, h)
 
 
 def rk4_step(rhs: Expression, x: float, y: float, h: float) -> float:
     """One classical fourth-order Runge-Kutta step."""
-    return _rk4_advance(_point_evaluator(rhs), x, y, h)
+    return _rk4_advance(compile_scalar(rhs, ("x", "y")), x, y, h)
 
 
-def _integrate(ivp: IVP, h: float, n_steps: int, advance) -> Trajectory:
+def _integrate(ivp: IVP, h: float, n_steps: int, advance, bound: float) -> Trajectory:
+    # the one escape test: a run stops at the first step whose |y| reaches bound
     h = _check.positive("step size", h)
     n_steps = _check.integer("number of steps", n_steps, 1)
     x0 = ivp.x0
@@ -134,11 +128,11 @@ def _integrate(ivp: IVP, h: float, n_steps: int, advance) -> Trajectory:
             reason = f"rhs evaluation failed at x={x!r}: {err}"
             break
         x = x0 + k * h
-        if not abs(y) < OVERFLOW_GUARD:  # NaN fails this too
+        if not abs(y) < bound:  # NaN fails this too
             if math.isfinite(y):
                 xs.append(x)
                 ys.append(y)
-            reason = f"overflow guard: |y| reached {OVERFLOW_GUARD:g} at x={x!r}"
+            reason = f"overflow guard: |y| reached {bound:g} at x={x!r}"
             break
         xs.append(x)
         ys.append(y)
@@ -147,20 +141,20 @@ def _integrate(ivp: IVP, h: float, n_steps: int, advance) -> Trajectory:
 
 def integrate_euler(ivp: IVP, h: float, n_steps: int) -> Trajectory:
     """Forward Euler over the grid x0, x0+h, ..., x0+n_steps*h."""
-    return _integrate(ivp, h, n_steps, _euler_advance)
+    return _integrate(ivp, h, n_steps, _euler_advance, OVERFLOW_GUARD)
 
 
 def integrate_rk4(ivp: IVP, h: float, n_steps: int) -> Trajectory:
     """Classical RK4 over the same grid convention as integrate_euler."""
-    return _integrate(ivp, h, n_steps, _rk4_advance)
+    return _integrate(ivp, h, n_steps, _rk4_advance, OVERFLOW_GUARD)
 
 
 def variability_table(ivp: IVP, x_target: float, step_sizes: Sequence[float]) -> list[VariabilityRow]:
     """Euler value at x_target for each step size, in the order given.
 
     Each h must divide the interval [x0, x_target] up to rounding.  Rows
-    whose trajectory escapes to overflow before reaching the target get
-    y_at_target None and escaped True.
+    whose run stops early, at or before the target, get y_at_target None
+    and escaped True.
     """
     x_target = _check.above("target abscissa", x_target, "x0", ivp.x0)
     if not step_sizes:
@@ -173,10 +167,8 @@ def variability_table(ivp: IVP, x_target: float, step_sizes: Sequence[float]) ->
         if n < 1 or abs(ivp.x0 + n * h - x_target) > 1e-9 * max(1.0, abs(span)):
             raise ValueError(f"step size {h!r} does not divide the interval [{ivp.x0!r}, {x_target!r}]")
         trajectory = integrate_euler(ivp, h, n)
-        if len(trajectory.xs) == n + 1:
-            rows.append(VariabilityRow(h, trajectory.ys[-1], False))
-        else:
-            rows.append(VariabilityRow(h, None, True))
+        escaped = trajectory.terminated_early
+        rows.append(VariabilityRow(h, None if escaped else trajectory.ys[-1], escaped))
     return rows
 
 

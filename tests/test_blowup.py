@@ -155,3 +155,23 @@ def test_refinement_keeps_only_the_finest_euler_trajectory(rhs, y0):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 16 * 25_601
+
+
+def test_a_start_at_the_threshold_crosses_at_x0_on_every_level():
+    # no step is taken: a level that stepped first would cross at x0 + h instead
+    rep = estimate_blowup(IVP(parse("y"), 0.0, 1e299), 20.0, 1e8, 10.0, 3)
+    assert [row.crossing_x for row in rep.evidence] == [0.0, 0.0, 0.0]
+    assert rep.verdict is BlowupVerdict.BLOWUP_DETECTED
+    assert rep.bracket == (-5.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("ivp", "h", "x_max", "crossing"),
+    [
+        (tan_ivp(), 0.01, 2.0, 1.7),
+        # y_k = 2^k reaches the 1e300 guard at k = 997, and 1e305 only at k = 1014
+        (IVP(parse("y"), 0.0, 1.0), 1.0, 2000.0, 997.0),
+    ],
+)
+def test_a_threshold_above_the_overflow_guard_crosses_at_the_guard(ivp, h, x_max, crossing):
+    assert threshold_crossing(ivp, h, x_max, 1e305) == crossing

@@ -289,6 +289,30 @@ def test_implicit_scan_empty(capsys):
     assert out == "cell_x,cell_y\n"
 
 
+def test_variability_row_escaped_on_the_last_step(capsys):
+    argv = ["variability", "--rhs", "y", "--x0", "0", "--y0", "1e299", "--target", "10", "--h", "10"]
+    assert run(argv) == 0
+    assert out_of(capsys) == ("h,y_at_target,escaped\n10,,true\n", "")
+
+
+def test_scans_with_a_literal_division_by_zero(capsys):
+    assert run(["polar-scan", "--f", "x+1/0"]) == 0
+    out, err = out_of(capsys)
+    assert out.startswith("# bounded=false\n# n_angles=720\nr,max_abs_f\n")
+    assert all(line.endswith(",inf") for line in out.splitlines()[3:])
+    assert err == ""
+    assert run(["implicit-scan", "--f", "x^2+y^2-0.25+0/0", "--radius", "1", "--grid", "100"]) == 0
+    assert out_of(capsys) == ("cell_x,cell_y\n", "")
+
+
+def test_cooling_sweep_past_half_the_double_range(tmp_path, capsys):
+    sweep = tmp_path / "s.csv"
+    assert run(["cooling", "range", "--temps", "1.7e308,1e308", "--sweep", "3", "--sweep-out", str(sweep)]) == 0
+    assert out_of(capsys)[1] == ""
+    rows = sweep.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["Feasible"] * 3
+
+
 # --- exit codes and argument errors ------------------------------------------
 
 

@@ -435,3 +435,10 @@ def test_sweep_rows_without_a_fit_have_empty_cells():
         "30,,,NonMonotoneData\n"
         "30.000000000000004,,,ColinearDegenerate\n"
     )
+
+
+def test_sweep_midpoint_of_readings_past_half_the_double_range():
+    # T0 + T2 overflows, so the chord midpoint 1.35e308 is summed from the halves
+    rows = sweep_csv(1.7e308, 1e308, 3).splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1.0875000000000001e+308", "1.1750000000000001e+308", "1.2624999999999999e+308"]
+    assert [row.split(",")[3] for row in rows] == ["Feasible"] * 3

@@ -383,3 +383,12 @@ def test_compiled_array_broadcasts_constant_expressions():
     out = fa(np.zeros(7))
     assert out.shape == (7,)
     assert (out == math.pi).all()
+
+
+def test_compiled_array_runs_literal_subtrees_under_errstate():
+    # 1/0 and 0/0 with no variable in them still give inf and nan, not ZeroDivisionError
+    import numpy as np
+
+    xs = np.array([1.0, -2.0])
+    assert (compile_array(parse("x+1/0"), ("x",))(xs) == math.inf).all()
+    assert np.isnan(compile_array(parse("x^2+0/0"), ("x",))(xs)).all()

@@ -15,6 +15,7 @@ from illposed.expr import parse
 from illposed.ode import (
     IVP,
     OVERFLOW_GUARD,
+    VariabilityRow,
     TrajectoryPoint,
     euler_step,
     integrate_euler,
@@ -257,3 +258,9 @@ def test_variability_csv_golden():
         "0.40000000000000002,6.795039850899844,false\n"
         "0.20000000000000001,22.477785021224882,false\n"
     )
+
+
+def test_variability_counts_a_guard_trip_on_the_last_step_as_escaped():
+    # the single step lands on the target with |y| = 1.1e300, past the overflow guard
+    rows = variability_table(IVP(parse("y"), 0.0, 1e299), 10.0, [10.0])
+    assert rows == [VariabilityRow(10.0, None, True)]
