@@ -48,10 +48,10 @@ def integer(name: str, value: int, minimum: int) -> int:
     return value
 
 
-def decreasing(name: str, values: Iterable[float], min_len: int) -> tuple[float, ...]:
+def decreasing(name: str, values: Iterable[float]) -> tuple[float, ...]:
     values = tuple(positive(f"every value in {name}", v) for v in values)
-    if len(values) < min_len:
-        raise ValueError(f"{name} needs at least {min_len} values, got {len(values)}")
+    if not values:
+        raise ValueError(f"{name} needs at least one value")
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must decrease strictly")
     return values

@@ -126,23 +126,20 @@ def _classify(rows: tuple[EvidenceRow, ...]) -> tuple[str, str | None, tuple[flo
     # all levels crossed: demand a Cauchy-decreasing crossing sequence.
     # Crossings are quantised to their grids, so each comparison gets one
     # fine-cell of slack (plus a little float noise allowance).
-    for i in range(len(crossings) - 1):
-        slack = steps[i + 1] + 1e-12 * max(1.0, abs(crossings[i]))
-        if crossings[i + 1] > crossings[i] + slack:
-            return (
-                "inconclusive",
-                "crossing abscissas do not decrease under refinement",
-                None,
-            )
-    gaps = [max(crossings[i] - crossings[i + 1], 0.0) for i in range(len(crossings) - 1)]
-    for i in range(len(gaps) - 1):
-        slack = steps[i + 1] + 1e-12 * max(1.0, abs(crossings[i]))
-        if gaps[i + 1] > gaps[i] + slack:
-            return (
-                "inconclusive",
-                "crossing gaps fail to shrink under refinement",
-                None,
-            )
+    slacks = [fine + 1e-12 * max(1.0, abs(c)) for fine, c in zip(steps[1:], crossings)]
+    if any(later > c + slack for c, later, slack in zip(crossings, crossings[1:], slacks)):
+        return (
+            "inconclusive",
+            "crossing abscissas do not decrease under refinement",
+            None,
+        )
+    gaps = [max(c - later, 0.0) for c, later in zip(crossings, crossings[1:])]
+    if any(later > gap + slack for gap, later, slack in zip(gaps, gaps[1:], slacks)):
+        return (
+            "inconclusive",
+            "crossing gaps fail to shrink under refinement",
+            None,
+        )
     last = crossings[-1]
     # The crossing error can shrink slower than the gap does (the lag
     # behind the true pole loses less than half per halving), so a

@@ -230,14 +230,7 @@ def fit_json(fit: CoolingFit, obs: CoolingObservations) -> str:
     return json_text({"T_M": fit.T_M, "k": fit.k, "verdict": fit.verdict.value, "residuals": residuals})
 
 
-def sweep_csv(
-    T0: float,
-    T2: float,
-    n: int,
-    floor: float = ABSOLUTE_ZERO_C,
-    t1: float = 0.5,
-    round_to: int | None = None,
-) -> str:
+def sweep_csv(T0: float, T2: float, n: int, floor: float = ABSOLUTE_ZERO_C, t1: float = 0.5) -> str:
     """Fit across n midpoint readings strictly between T2 and the chord
     midpoint, one CSV row per reading; the tail rows walk into the
     infeasible band.  A reading with no fit gets empty T_M and k cells."""
@@ -252,6 +245,6 @@ def sweep_csv(
     for i in range(1, n + 1):
         c = T2 + i * step
         fit = fit_three_point(CoolingObservations(t1, T0, c, T2), floor)
-        T_M, k = ("", "") if fit.T_M is None else (format_float(fit.T_M, round_to), format_float(fit.k, round_to))
-        lines.append(f"{format_float(c, round_to)},{T_M},{k},{fit.verdict.value}")
+        T_M, k = ("", "") if fit.T_M is None else (format_float(fit.T_M), format_float(fit.k))
+        lines.append(f"{format_float(c)},{T_M},{k},{fit.verdict.value}")
     return "\n".join(lines) + "\n"

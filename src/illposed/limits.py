@@ -64,11 +64,12 @@ __all__ = [
     "implicit_csv",
 ]
 
-# Decades down to 1e-8, then one sub-1e-8 point.  The tail stops short
-# of 1e-9 on purpose: on level curves of x*y/(x+y) the sum x + y is of
-# order t^2/a while the coordinates are of order t, so evaluating f at
-# t costs roughly |a|^2 * eps/t in absolute error (eps = 2^-52), which
-# passes the 1e-6 Cauchy tolerance at 5e-9 but not at 1e-9.
+# The t schedule every path is sampled on: decades down to 1e-8, then
+# one sub-1e-8 point.  The tail stops short of 1e-9 on purpose: on level
+# curves of x*y/(x+y) the sum x + y is of order t^2/a while the
+# coordinates are of order t, so evaluating f at t costs roughly
+# |a|^2 * eps/t in absolute error (eps = 2^-52), which passes the 1e-6
+# Cauchy tolerance at 5e-9 but not at 1e-9.
 DEFAULT_SCHEDULE: tuple[float, ...] = tuple(10.0**-k for k in range(1, 9)) + (5e-9,)
 DEFAULT_RADII: tuple[float, ...] = tuple(10.0**-k for k in range(1, 7))
 CAUCHY_TOL = 1e-6
@@ -208,19 +209,8 @@ def default_trajectories() -> list[Trajectory2D]:
     ]
 
 
-def _check_schedule(schedule: Sequence[float]) -> tuple[float, ...]:
-    ts = _check.decreasing("schedule", schedule, 4)
-    if ts[-1] >= 1e-8:
-        raise ValueError(f"schedule must end below 1e-8, ends at {ts[-1]!r}")
-    return ts
-
-
-def limit_along(
-    f: Expression,
-    trajectory: Trajectory2D,
-    schedule: Sequence[float] = DEFAULT_SCHEDULE,
-) -> TrajectoryLimit:
-    """Sample f along the path for shrinking t and judge the tail.
+def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
+    """Sample f along the path at each t of DEFAULT_SCHEDULE and judge the tail.
 
     Converged needs the last two successive differences below 1e-6;
     |f| past 1e12 at the finest t is Diverged; anything else (including
@@ -228,17 +218,17 @@ def limit_along(
     or the path is undefined are skipped and noted, not fatal.
     """
     _check.variables("f", ("x", "y"), f)
-    return _sample_path(compile_scalar(f, ("x", "y")), trajectory, _check_schedule(schedule))
+    return _sample_path(compile_scalar(f, ("x", "y")), trajectory)
 
 
-def _sample_path(fn: Callable[[float, float], float], trajectory: Trajectory2D, ts: Sequence[float]) -> TrajectoryLimit:
-    # limit_along without the checks and the compile of f, which callers do once
+def _sample_path(fn: Callable[[float, float], float], trajectory: Trajectory2D) -> TrajectoryLimit:
+    # limit_along without the check and the compile of f, which callers do once
     x_of = compile_scalar(trajectory.x_of_t, ("t",))
     y_of = compile_scalar(trajectory.y_of_t, ("t",))
     samples: list[LimitSample] = []
     notes: list[str] = []
     values: list[float] = []
-    for t in ts:
+    for t in DEFAULT_SCHEDULE:
         try:
             x = x_of(t)
             y = y_of(t)
@@ -271,11 +261,7 @@ def _sample_path(fn: Callable[[float, float], float], trajectory: Trajectory2D, 
     return TrajectoryLimit(trajectory.label, status, value, tuple(samples), tuple(notes))
 
 
-def compare_trajectories(
-    f: Expression,
-    trajectories: Sequence[Trajectory2D],
-    schedule: Sequence[float] = DEFAULT_SCHEDULE,
-) -> LimitReport:
+def compare_trajectories(f: Expression, trajectories: Sequence[Trajectory2D]) -> LimitReport:
     """Race the paths against each other.
 
     Two converged paths whose limits differ by more than 1e-4 witness
@@ -289,9 +275,8 @@ def compare_trajectories(
     if len(set(labels)) != len(labels):
         raise ValueError("path labels must be unique")
     _check.variables("f", ("x", "y"), f)
-    ts = _check_schedule(schedule)
     fn = compile_scalar(f, ("x", "y"))
-    results = tuple(_sample_path(fn, tr, ts) for tr in trajectories)
+    results = tuple(_sample_path(fn, tr) for tr in trajectories)
     converged = [(r.label, r.value) for r in results if r.status is PathStatus.CONVERGED]
 
     if len(converged) >= 2:
@@ -345,7 +330,7 @@ def angular_bound_scan(
     order of the cap before the ratio test can see it.
     """
     _check.variables("f", ("x", "y"), f)
-    rs = _check.decreasing("radii", radii, 1)
+    rs = _check.decreasing("radii", radii)
     n_angles = _check.integer("n_angles", n_angles, 360)
     cap = _check.positive("cap", cap)
     import numpy as np
@@ -367,16 +352,11 @@ def angular_bound_scan(
     return AngularScan(rows, bounded, n_angles, cap)
 
 
-def implicit_zero_scan(
-    F: Expression,
-    R: float,
-    grid_n: int = 400,
-    tiny: float = 1e-14,
-) -> list[tuple[float, float]]:
+def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple[float, float]]:
     """Cells of a square lattice on [-R, R]^2 where F(x, y) = 0 shows up.
 
     A cell is flagged when its four corners are finite and either
-    straddle a sign change or include a corner with |F| < tiny.  Cells
+    straddle a sign change or include a corner with |F| < 1e-14.  Cells
     containing the origin are excluded (the origin solves the classroom
     equations trivially; the question is what else does), as are cells
     whose centre falls outside the disk of radius R.  Returned cell
@@ -385,7 +365,6 @@ def implicit_zero_scan(
     _check.variables("F", ("x", "y"), F)
     R = _check.positive("R", R)
     grid_n = _check.integer("grid_n", grid_n, 100)
-    tiny = _check.positive("tiny", tiny)
     import numpy as np
 
     xs = np.linspace(-R, R, grid_n)
@@ -403,9 +382,9 @@ def implicit_zero_scan(
         # min and max propagate nan and inf, so two isfinite tests cover all four corners
         lowest = np.minimum(np.minimum(a, b), np.minimum(c, d))
         highest = np.maximum(np.maximum(a, b), np.maximum(c, d))
-        near_zero = np.abs(a) < tiny
+        near_zero = np.abs(a) < 1e-14
         for corner in (b, c, d):
-            near_zero |= np.abs(corner) < tiny
+            near_zero |= np.abs(corner) < 1e-14
         flagged = np.isfinite(lowest) & np.isfinite(highest) & (((lowest < 0.0) & (highest > 0.0)) | near_zero)
         flagged &= ~(spans_zero[i0:i1, None] & spans_zero[None, :])
         flagged &= (centres[i0:i1, None] ** 2 + centres[None, :] ** 2) <= R * R

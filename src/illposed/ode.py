@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import _check
 from ._fmt import format_float
-from .expr import EvalError, Expression, compile_scalar
+from .expr import EvalError, Expression, compile_scalar, evaluate
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -67,8 +67,11 @@ class Trajectory:
     h: float
     xs: array
     ys: array
-    terminated_early: bool = False
     termination_reason: str | None = None
+
+    @property
+    def terminated_early(self) -> bool:
+        return self.termination_reason is not None
 
     @property
     def points(self) -> tuple[TrajectoryPoint, ...]:
@@ -103,12 +106,12 @@ def euler_step(rhs: Expression, x: float, y: float, h: float) -> float:
     Uses the same arithmetic, in the same order, as integrate_euler, so
     stepping manually reproduces a trajectory bit for bit.
     """
-    return _euler_advance(compile_scalar(rhs, ("x", "y")), x, y, h)
+    return _euler_advance(lambda x, y: evaluate(rhs, {"x": x, "y": y}), x, y, h)
 
 
 def rk4_step(rhs: Expression, x: float, y: float, h: float) -> float:
     """One classical fourth-order Runge-Kutta step."""
-    return _rk4_advance(compile_scalar(rhs, ("x", "y")), x, y, h)
+    return _rk4_advance(lambda x, y: evaluate(rhs, {"x": x, "y": y}), x, y, h)
 
 
 def _integrate(ivp: IVP, h: float, n_steps: int, advance, bound: float) -> Trajectory:
@@ -136,7 +139,7 @@ def _integrate(ivp: IVP, h: float, n_steps: int, advance, bound: float) -> Traje
             break
         xs.append(x)
         ys.append(y)
-    return Trajectory(h, xs, ys, reason is not None, reason)
+    return Trajectory(h, xs, ys, reason)
 
 
 def integrate_euler(ivp: IVP, h: float, n_steps: int) -> Trajectory:

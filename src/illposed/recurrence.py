@@ -67,47 +67,34 @@ def closed_form(instance: RecurrenceInstance, n: int) -> float:
     return value
 
 
-def detect_limit(
-    sequence: Sequence[float],
-    tol: float,
-    min_run: int = 5,
-) -> tuple[float, int] | None:
+def detect_limit(sequence: Sequence[float], tol: float) -> tuple[float, int] | None:
     """Numerical limit of a sequence tail, if one has settled.
 
     Finds the earliest index from which every later consecutive
-    difference stays below tol; at least `min_run` sub-tol differences
-    are required before the tail counts as settled.  Returns (last
-    value, settle index) or None.
+    difference stays below tol; a run of at least five sub-tol
+    differences is required before the tail counts as settled.  Returns
+    (last value, settle index) or None.
     """
     tol = _check.positive("tol", tol)
-    min_run = _check.integer("min_run", min_run, 1)
     values = [float(v) for v in sequence]
-    if len(values) < min_run + 1:
-        return None
     settle = len(values) - 1
     while settle > 0 and abs(values[settle] - values[settle - 1]) < tol:
         settle -= 1
-    if len(values) - 1 - settle < min_run:
+    if len(values) - 1 - settle < 5:
         return None
     return values[-1], settle
 
 
-def sequence_csv(
-    instance: RecurrenceInstance,
-    n: int,
-    tol: float | None = None,
-    round_to: int | None = None,
-) -> str:
-    """n,x_n rows; with a tolerance, trailing comments report the limit."""
+def sequence_csv(instance: RecurrenceInstance, n: int, tol: float, round_to: int | None = None) -> str:
+    """n,x_n rows, then trailing comments that report the limit settled within tol."""
     values = iterate_recurrence(instance, n)
     lines = ["n,x_n"]
     for i, v in enumerate(values):
         lines.append(f"{i},{format_float(v, round_to)}")
-    if tol is not None:
-        settled = detect_limit(values, tol)
-        if settled is None:
-            lines.append("# limit=unsettled")
-        else:
-            lines.append(f"# limit={format_float(settled[0], round_to)}")
-            lines.append(f"# settled_at={settled[1]}")
+    settled = detect_limit(values, tol)
+    if settled is None:
+        lines.append("# limit=unsettled")
+    else:
+        lines.append(f"# limit={format_float(settled[0], round_to)}")
+        lines.append(f"# settled_at={settled[1]}")
     return "\n".join(lines) + "\n"

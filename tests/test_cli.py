@@ -522,6 +522,27 @@ _SWEEP_ARGV = st.builds(
     st.sampled_from(("0.5",) + HOSTILE),
 )
 
+_RECURRENCE_ARGV = st.builds(
+    lambda a, b, n, tol: ["recurrence", f"--a={a}", f"--b={b}", f"--n={n}", f"--tol={tol}"],
+    _NUMBER,
+    _NUMBER,
+    st.integers(-1, 50),
+    _NUMBER,
+)
+_FIT_ARGV = st.builds(
+    lambda t1, T0, T1, T2, floor: ["cooling", "fit", f"--t1={t1}", f"--temps={T0},{T1},{T2}", f"--floor={floor}"],
+    _NUMBER,
+    _NUMBER,
+    _NUMBER,
+    _NUMBER,
+    st.sampled_from(("-273.15",) + HOSTILE),
+)
+_LEVEL_CURVE_ARGV = st.builds(
+    lambda a, b: ["limit", "--f=x*y/(x+y)", f"--level-curve={a}", f"--level-curve={b}"],
+    _NUMBER,
+    _NUMBER,
+)
+
 
 def _assert_finite_csv(text):
     for line in text.splitlines()[1:]:
@@ -533,11 +554,11 @@ def _assert_finite_csv(text):
             assert math.isfinite(value), line
 
 
-@given(_EULER_ARGV | _SWEEP_ARGV)
-@settings(max_examples=150, deadline=None)
+@given(_EULER_ARGV | _SWEEP_ARGV | _RECURRENCE_ARGV | _FIT_ARGV | _LEVEL_CURVE_ARGV)
+@settings(max_examples=300, deadline=None)
 def test_hostile_numbers_never_give_a_traceback_or_a_non_finite_cell(tmp_path_factory, argv):
     sweep = tmp_path_factory.getbasetemp() / "sweep.csv"
-    if argv[0] == "cooling":
+    if argv[:2] == ["cooling", "range"]:
         argv = argv + [f"--sweep-out={sweep}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -546,8 +567,9 @@ def test_hostile_numbers_never_give_a_traceback_or_a_non_finite_cell(tmp_path_fa
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert out.getvalue() == ""
-    elif argv[0] == "euler":
+    elif argv[0] in ("euler", "recurrence"):
         _assert_finite_csv(out.getvalue())
     else:
         json.loads(out.getvalue(), parse_constant=_reject)
-        _assert_finite_csv(sweep.read_text(encoding="utf-8"))
+        if argv[:2] == ["cooling", "range"]:
+            _assert_finite_csv(sweep.read_text(encoding="utf-8"))

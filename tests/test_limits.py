@@ -161,19 +161,6 @@ def test_divergence_is_flagged():
     assert tl.value is None
 
 
-def test_schedule_validation():
-    f = parse(SADDLE)
-    tr = line_trajectory(1.0)
-    with pytest.raises(ValueError):
-        limit_along(f, tr, (0.1, 0.01, 1e-9))  # too short
-    with pytest.raises(ValueError):
-        limit_along(f, tr, (0.1, 0.2, 0.01, 1e-9))  # not decreasing
-    with pytest.raises(ValueError):
-        limit_along(f, tr, (0.1, 0.01, 0.001, 1e-8))  # tail not below 1e-8
-    with pytest.raises(ValueError):
-        limit_along(f, tr, (0.1, 0.01, -0.001, 1e-9))
-
-
 # --- comparing paths -----------------------------------------------------------
 
 

@@ -96,6 +96,21 @@ def test_public_step_matches_integration_loop_bitwise():
         assert rk4_step(rhs, a.x, a.y, 0.17) == b.y
 
 
+def test_public_steps_walk_the_tree_without_compiling(monkeypatch):
+    rhs = parse("sin(x)*y+x^2")
+    euler = integrate_euler(IVP(rhs, 0.3, 0.7), 0.17, 9).points
+    rk4 = integrate_rk4(IVP(rhs, 0.3, 0.7), 0.17, 9).points
+
+    def refuse(*args):
+        raise AssertionError("a single step compiled the rhs")
+
+    monkeypatch.setattr("illposed.ode.compile_scalar", refuse)
+    for a, b in zip(euler, euler[1:]):
+        assert euler_step(rhs, a.x, a.y, 0.17) == b.y
+    for a, b in zip(rk4, rk4[1:]):
+        assert rk4_step(rhs, a.x, a.y, 0.17) == b.y
+
+
 def test_euler_reduces_to_left_riemann_sum_when_rhs_ignores_y():
     # y' = sin(x) makes Euler literally the left endpoint rule
     tr = integrate_euler(IVP(parse("sin(x)"), 0.0, 0.0), 0.01, 100)

@@ -20,11 +20,8 @@ from illposed.cooling import (
 )
 from illposed.expr import parse
 from illposed.limits import (
-    DEFAULT_SCHEDULE,
     Trajectory2D,
     angular_bound_scan,
-    compare_trajectories,
-    default_trajectories,
     implicit_zero_scan,
     level_curve_trajectory,
     limit_along,
@@ -54,12 +51,6 @@ OBS = CoolingObservations(0.5, 40.0, 34.0, 30.0)
 SEEDS = RecurrenceInstance(0.0, 1.0)
 SEQUENCE = [1.0] * 10
 
-
-# non-positive or non-finite points, a repeated point, and too few points
-SCHEDULES = [DEFAULT_SCHEDULE[:-1] + (v,) for v in POSITIVE] + [
-    DEFAULT_SCHEDULE[:-1] + DEFAULT_SCHEDULE[-2:-1],
-    DEFAULT_SCHEDULE[:3],
-]
 RADII = [(0.1, v) for v in POSITIVE] + [(0.1, 0.1), ()]
 
 CASES = [
@@ -100,15 +91,12 @@ CASES = [
     ("iterate_recurrence.n", INDEX, lambda v: iterate_recurrence(SEEDS, v)),
     ("closed_form.n", INDEX, lambda v: closed_form(SEEDS, v)),
     ("detect_limit.tol", POSITIVE, lambda v: detect_limit(SEQUENCE, v)),
-    ("detect_limit.min_run", COUNT, lambda v: detect_limit(SEQUENCE, 1e-10, v)),
-    ("sequence_csv.n", INDEX, lambda v: sequence_csv(SEEDS, v)),
+    ("sequence_csv.n", INDEX, lambda v: sequence_csv(SEEDS, v, 1e-10)),
     ("sequence_csv.tol", POSITIVE, lambda v: sequence_csv(SEEDS, 6, v)),
     ("Trajectory2D", ("x", "t+s"), lambda v: Trajectory2D(parse("t"), parse(v), "p")),
     ("line_trajectory.slope", FINITE, line_trajectory),
     ("level_curve_trajectory.a", FINITE + (0.0,), level_curve_trajectory),
     ("limit_along.f", ("x+z", "t"), lambda v: limit_along(parse(v), PATH)),
-    ("limit_along.schedule", SCHEDULES, lambda v: limit_along(SADDLE, PATH, v)),
-    ("compare_trajectories.schedule", SCHEDULES, lambda v: compare_trajectories(SADDLE, default_trajectories(), v)),
     ("angular_bound_scan.f", ("z",), lambda v: angular_bound_scan(parse(v))),
     ("angular_bound_scan.radii", RADII, lambda v: angular_bound_scan(SADDLE, v)),
     ("angular_bound_scan.n_angles", COUNT + (359,), lambda v: angular_bound_scan(SADDLE, n_angles=v)),
@@ -116,7 +104,6 @@ CASES = [
     ("implicit_zero_scan.F", ("z",), lambda v: implicit_zero_scan(parse(v), 1.0)),
     ("implicit_zero_scan.R", POSITIVE, lambda v: implicit_zero_scan(SADDLE, v)),
     ("implicit_zero_scan.grid_n", COUNT + (99,), lambda v: implicit_zero_scan(SADDLE, 1.0, v)),
-    ("implicit_zero_scan.tiny", POSITIVE, lambda v: implicit_zero_scan(SADDLE, 1.0, 100, v)),
 ]
 
 
