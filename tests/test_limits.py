@@ -141,6 +141,24 @@ def test_samples_cover_the_whole_schedule():
     assert all(s.f is not None for s in tl.samples)
 
 
+@pytest.mark.parametrize("index", range(len(default_trajectories())), ids=[p.label for p in default_trajectories()])
+def test_every_path_is_sampled_on_the_default_schedule(index):
+    # the schedule is fixed: limit_along and compare_trajectories both sample it, point for point
+    f = parse("x^2+y^2")
+    path = default_trajectories()[index]
+    report = compare_trajectories(f, default_trajectories())
+    assert [s.t for s in limit_along(f, path).samples] == list(DEFAULT_SCHEDULE)
+    assert [s.t for s in report.paths[index].samples] == list(DEFAULT_SCHEDULE)
+
+
+@pytest.mark.parametrize("a", [-5.0, -2.0, -0.5, 0.5, 2.0, 5.0])
+def test_level_curve_tails_pass_the_cauchy_test_at_the_schedule_end(a):
+    # rounding on the level curve grows like |a|^2 * eps / t; at the 5e-9 tail it stays below CAUCHY_TOL
+    tl = limit_along(parse(SADDLE), level_curve_trajectory(a))
+    assert tl.status is PathStatus.CONVERGED
+    assert abs(tl.value - a) < CAUCHY_TOL
+
+
 def test_undefined_samples_are_skipped_with_notes():
     tl = limit_along(parse(SADDLE), line_trajectory(-1.0))
     assert tl.status is PathStatus.INCONCLUSIVE
@@ -348,6 +366,14 @@ def test_circle_zero_set_traces_the_radius():
 def test_implicit_scan_is_sorted_row_major():
     cells = implicit_zero_scan(parse("x^2+y^2-0.04"), 0.5, 400)
     assert cells == sorted(cells)
+
+
+@pytest.mark.parametrize(("offset", "found"), [("0", True), ("1e-15", True), ("9e-15", True), ("2e-14", False), ("1e-13", False)])
+def test_implicit_scan_flags_corners_below_1e_minus_14(offset, found):
+    # x^2 + offset never changes sign; only the near-zero corner test sees the x = 0 grid column
+    cells = implicit_zero_scan(parse(f"x^2+{offset}"), 1.0, 401)
+    assert bool(cells) is found
+    assert all(abs(cx) < 0.005 for cx, _ in cells)
 
 
 def test_implicit_scan_validation():

@@ -8,6 +8,7 @@ recurrences y_{k+1} = y_k + h*(y_k^2+1).
 """
 
 import math
+from array import array
 
 import pytest
 
@@ -15,6 +16,7 @@ from illposed.expr import parse
 from illposed.ode import (
     IVP,
     OVERFLOW_GUARD,
+    Trajectory,
     VariabilityRow,
     TrajectoryPoint,
     euler_step,
@@ -172,6 +174,14 @@ def test_rhs_overflow_stops_the_run():
     assert "rhs evaluation failed" in tr.termination_reason
     assert tr.final.y == 1.1604822382262354e+162
     assert math.isfinite(tr.final.y)
+
+
+@pytest.mark.parametrize("reason", [None, "overflow guard", "rhs evaluation failed"])
+def test_terminated_early_is_read_from_the_termination_reason(reason):
+    tr = Trajectory(0.1, array("d", [0.0]), array("d", [1.0]), reason)
+    assert tr.terminated_early is (reason is not None)
+    with pytest.raises(AttributeError):
+        tr.terminated_early = reason is None
 
 
 def test_domain_error_in_rhs_stops_the_run():

@@ -120,6 +120,12 @@ def test_detect_limit_needs_a_long_enough_run():
     assert detect_limit([1.0] * 6, 1e-10) == (1.0, 0)
 
 
+@pytest.mark.parametrize("run", range(9))
+def test_detect_limit_settles_after_a_run_of_five(run):
+    seq = [0.0, 1.0, 2.0, 3.0] + [3.0] * run
+    assert detect_limit(seq, 1e-10) == (None if run < 5 else (3.0, 3))
+
+
 def test_detect_limit_settle_index_marks_the_quiet_tail():
     seq = [8.0, 4.0, 2.0, 1.0] + [1.0] * 10
     value, settled = detect_limit(seq, 1e-10)

@@ -22,12 +22,14 @@ from illposed.expr import parse
 from illposed.limits import (
     Trajectory2D,
     angular_bound_scan,
+    compare_trajectories,
+    default_trajectories,
     implicit_zero_scan,
     level_curve_trajectory,
     limit_along,
     line_trajectory,
 )
-from illposed.ode import IVP, integrate_euler, integrate_rk4, variability_table
+from illposed.ode import IVP, Trajectory, integrate_euler, integrate_rk4, variability_table
 from illposed.recurrence import (
     RecurrenceInstance,
     closed_form,
@@ -118,3 +120,23 @@ CASES = [
 def test_out_of_range_argument_raises_value_error(call, value):
     with pytest.raises(ValueError):
         call(value)
+
+
+# Values that are fixed, not settable: each of these once was a parameter
+# that no caller set, and passing it (or leaving out sequence_csv's tol)
+# must fail at the call rather than be silently accepted.
+FIXED = [
+    ("limit_along.schedule", lambda: limit_along(SADDLE, PATH, schedule=(0.1, 0.01, 0.001, 1e-9))),
+    ("compare_trajectories.schedule", lambda: compare_trajectories(SADDLE, default_trajectories(), (0.1, 0.01, 0.001, 1e-9))),
+    ("implicit_zero_scan.tiny", lambda: implicit_zero_scan(SADDLE, 1.0, 100, 1e-12)),
+    ("detect_limit.min_run", lambda: detect_limit(SEQUENCE, 1e-10, 3)),
+    ("sweep_csv.round_to", lambda: sweep_csv(40.0, 30.0, 3, round_to=3)),
+    ("sequence_csv.tol", lambda: sequence_csv(SEEDS, 6)),
+    ("Trajectory.terminated_early", lambda: Trajectory(0.1, [0.0], [1.0], None, terminated_early=True)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in FIXED])
+def test_fixed_values_are_not_settable(call):
+    with pytest.raises(TypeError):
+        call()
