@@ -165,7 +165,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             if _as_bool(value, key):
                 flags.append(f"--{key}")
         else:
-            flags.extend((f"--{key}", value))
+            # one token, so a value such as -y is not read as an option
+            flags.append(f"--{key}={value}")
     head = 2 if cleaned and cleaned[0] == "cooling" else 1
     if len(cleaned) < head:
         raise UsageError("--config requires a subcommand")
@@ -377,6 +378,9 @@ def _write_outputs(outputs: Sequence[tuple[str | None, str]]) -> None:
     the temps are renamed only after every write has succeeded and are
     unlinked on any failure.  Text for stdout (path None) goes out last.
     """
+    targets = [os.path.realpath(path) for path, _ in outputs if path is not None]
+    if len(set(targets)) < len(targets):
+        raise UsageError("--out and --sweep-out must name different files")
     mask = os.umask(0)
     os.umask(mask)
     staged: list[tuple[str, str]] = []

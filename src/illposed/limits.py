@@ -16,9 +16,10 @@ origin (useful when an equation hides an isolated solution point).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import _check
 from ._fmt import format_float, json_text
@@ -31,7 +32,6 @@ from .expr import (
     Unary,
     Variable,
     compile_array,
-    compile_scalar,
     evaluate,
     parse,
 )
@@ -218,26 +218,19 @@ def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
     or the path is undefined are skipped and noted, not fatal.
     """
     _check.variables("f", ("x", "y"), f)
-    return _sample_path(compile_scalar(f, ("x", "y")), trajectory)
-
-
-def _sample_path(fn: Callable[[float, float], float], trajectory: Trajectory2D) -> TrajectoryLimit:
-    # limit_along without the check and the compile of f, which callers do once
-    x_of = compile_scalar(trajectory.x_of_t, ("t",))
-    y_of = compile_scalar(trajectory.y_of_t, ("t",))
     samples: list[LimitSample] = []
     notes: list[str] = []
     values: list[float] = []
     for t in DEFAULT_SCHEDULE:
         try:
-            x = x_of(t)
-            y = y_of(t)
+            x = evaluate(trajectory.x_of_t, {"t": t})
+            y = evaluate(trajectory.y_of_t, {"t": t})
         except EvalError as err:
             samples.append(LimitSample(t, None, None, None))
             notes.append(f"t={t:g}: path undefined ({err})")
             continue
         try:
-            value = fn(x, y)
+            value = evaluate(f, {"x": x, "y": y})
         except EvalError as err:
             samples.append(LimitSample(t, x, y, None))
             notes.append(f"t={t:g}: f undefined ({err})")
@@ -274,9 +267,7 @@ def compare_trajectories(f: Expression, trajectories: Sequence[Trajectory2D]) ->
     labels = [tr.label for tr in trajectories]
     if len(set(labels)) != len(labels):
         raise ValueError("path labels must be unique")
-    _check.variables("f", ("x", "y"), f)
-    fn = compile_scalar(f, ("x", "y"))
-    results = tuple(_sample_path(fn, tr) for tr in trajectories)
+    results = tuple(limit_along(f, tr) for tr in trajectories)
     converged = [(r.label, r.value) for r in results if r.status is PathStatus.CONVERGED]
 
     if len(converged) >= 2:
@@ -361,9 +352,14 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     equations trivially; the question is what else does), as are cells
     whose centre falls outside the disk of radius R.  Returned cell
     centres are sorted by x then y.
+
+    The disk test squares the coordinates, so R must keep R*R a normal
+    double and 2*R*R finite: about 1.5e-154 <= R <= 9.5e153.
     """
     _check.variables("F", ("x", "y"), F)
     R = _check.positive("R", R)
+    if not (R * R >= sys.float_info.min and math.isfinite(2.0 * R * R)):
+        raise ValueError(f"R must lie between about 1.5e-154 and 9.5e153, got {R!r}")
     grid_n = _check.integer("grid_n", grid_n, 100)
     import numpy as np
 

@@ -6,6 +6,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,17 @@ def test_failed_second_output_leaves_no_file_behind(tmp_path, capsys):
                 "--sweep", "3", "--sweep-out", str(tmp_path / "missing" / "s.csv")])
     assert code == 1
     assert "missing" in out_of(capsys)[1]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_and_sweep_out_naming_one_file_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = run(["cooling", "range", "--temps", "40,30", "--out", "a.json",
+                "--sweep", "3", "--sweep-out", "./a.json"])
+    assert code == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "must name different files" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -295,6 +308,28 @@ def test_variability_row_escaped_on_the_last_step(capsys):
     assert out_of(capsys) == ("h,y_at_target,escaped\n10,,true\n", "")
 
 
+@pytest.mark.parametrize("radius", ["1e200", "1e-170", "9e307", "5e-324"])
+def test_implicit_scan_refuses_radii_whose_square_leaves_the_doubles(radius, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["implicit-scan", "--f", "x+y", "--radius", radius, "--grid", "100"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("usage error: R must lie between") and repr(float(radius)) in err
+
+
+@pytest.mark.parametrize("radius", ["1e153", "1e-153"])
+def test_implicit_scan_keeps_every_cell_inside_the_disk_at_the_edge_radii(radius, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["implicit-scan", "--f", "x+y", "--radius", radius, "--grid", "100"]) == 0
+    out, err = out_of(capsys)
+    R = Fraction(radius)
+    cells = [tuple(map(Fraction, line.split(","))) for line in out.splitlines()[1:]]
+    assert cells and err == ""
+    assert all(cx * cx + cy * cy <= R * R for cx, cy in cells)
+
+
 def test_scans_with_a_literal_division_by_zero(capsys):
     assert run(["polar-scan", "--f", "x+1/0"]) == 0
     out, err = out_of(capsys)
@@ -388,6 +423,16 @@ def test_explicit_flags_beat_config(tmp_path, capsys):
     assert code == 0
     out, _ = out_of(capsys)
     assert out == EULER_GOLD
+
+
+def test_config_value_with_a_leading_minus(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rhs=-y\n", encoding="utf-8")
+    base = ["euler", "--x0", "0", "--y0", "1", "--h", "0.5", "--steps", "2"]
+    assert run(base + ["--rhs=-y"]) == 0
+    expected = out_of(capsys)
+    assert run(base + ["--config", str(cfg)]) == 0
+    assert out_of(capsys) == expected
 
 
 def test_config_boolean_key(tmp_path, capsys):
@@ -543,6 +588,14 @@ _LEVEL_CURVE_ARGV = st.builds(
     _NUMBER,
 )
 
+# a grid fixed at 100 keeps the scan's cost bounded
+_IMPLICIT_ARGV = st.builds(
+    lambda f, c, R: ["implicit-scan", f"--f={f}-({c})", f"--radius={R}", "--grid=100"],
+    st.sampled_from(("x+y", "x^2+y^2", "x*y")),
+    _NUMBER,
+    _NUMBER,
+)
+
 
 def _assert_finite_csv(text):
     for line in text.splitlines()[1:]:
@@ -554,20 +607,21 @@ def _assert_finite_csv(text):
             assert math.isfinite(value), line
 
 
-@given(_EULER_ARGV | _SWEEP_ARGV | _RECURRENCE_ARGV | _FIT_ARGV | _LEVEL_CURVE_ARGV)
+@given(_EULER_ARGV | _SWEEP_ARGV | _RECURRENCE_ARGV | _FIT_ARGV | _LEVEL_CURVE_ARGV | _IMPLICIT_ARGV)
 @settings(max_examples=300, deadline=None)
 def test_hostile_numbers_never_give_a_traceback_or_a_non_finite_cell(tmp_path_factory, argv):
     sweep = tmp_path_factory.getbasetemp() / "sweep.csv"
     if argv[:2] == ["cooling", "range"]:
         argv = argv + [f"--sweep-out={sweep}"]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning is a fault too
         code = run(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert out.getvalue() == ""
-    elif argv[0] in ("euler", "recurrence"):
+    elif argv[0] in ("euler", "recurrence", "implicit-scan"):
         _assert_finite_csv(out.getvalue())
     else:
         json.loads(out.getvalue(), parse_constant=_reject)

@@ -239,19 +239,14 @@ def test_witnesses_are_the_extreme_pair():
     assert high - low > AGREEMENT_TOL
 
 
-def test_compare_compiles_f_once_and_matches_limit_along(monkeypatch):
+def test_compare_samples_through_limit_along_without_compiling(monkeypatch):
+    def refuse(expr):
+        raise AssertionError("path limits compiled an expression")
+
+    monkeypatch.setattr("illposed.expr._scalar_code", refuse)
     f = parse(SADDLE)
     paths = default_trajectories()
-    compiled = []
-
-    def counting(expr, params):
-        compiled.append(expr)
-        return compile_scalar(expr, params)
-
-    monkeypatch.setattr(limits, "compile_scalar", counting)
     report = compare_trajectories(f, paths)
-    assert compiled.count(f) == 1
-    monkeypatch.undo()
     assert report.paths == tuple(limit_along(f, p) for p in paths)
 
 
