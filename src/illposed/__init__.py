@@ -33,6 +33,7 @@ from .expr import (
     EvalError,
     Expression,
     ExpressionError,
+    OverflowDomainError,
     ParseError,
     UnboundVariableError,
     compile_array,
@@ -88,6 +89,7 @@ __all__ = [
     "EvalError",
     "UnboundVariableError",
     "DomainError",
+    "OverflowDomainError",
     "parse",
     "evaluate",
     "to_text",

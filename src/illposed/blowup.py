@@ -74,11 +74,16 @@ def _grid_steps(x0: float, x_max: float, h: float) -> int:
 
 
 def _level(ivp: IVP, x_max: float, threshold: float, h: float, advance) -> tuple[EvidenceRow, Trajectory | None]:
-    """Evidence row of one level, run until its first crossing, and its trajectory (None if |y0| crosses)."""
+    """Evidence row of one level, run until its first crossing, and its trajectory (None if |y0| crosses).
+
+    A run stopped by an rhs outside its domain neither crosses nor reaches x_max.
+    """
     n = _grid_steps(ivp.x0, x_max, h)
     if abs(ivp.y0) >= threshold:
         return EvidenceRow(h, ivp.x0, None), None
     trajectory = _integrate(ivp, h, n, advance, min(threshold, OVERFLOW_GUARD))
+    if trajectory.rhs_undefined:
+        return EvidenceRow(h, None, None), trajectory
     if trajectory.terminated_early:
         return EvidenceRow(h, trajectory.xs[-1], None), trajectory
     return EvidenceRow(h, None, trajectory.ys[-1]), trajectory
@@ -88,25 +93,32 @@ def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> fl
     """Smallest grid abscissa where the Euler trajectory has |y| >= threshold.
 
     Returns None when the trajectory stays below the threshold all the
-    way to x_max.  A run that terminates early (overflow guard, singular
-    right-hand side) counts as crossing at its terminating step, and one
-    whose |y0| already reaches the threshold crosses at x0.
+    way to x_max.  A run that terminates early (overflow guard, rhs
+    overflow) counts as crossing at its terminating step, and one whose
+    |y0| already reaches the threshold crosses at x0.  A run whose rhs
+    leaves its domain first raises ValueError naming where.
     """
     x_max = _check.above("x_max", x_max, "x0", ivp.x0)
     threshold = _check.positive("threshold", threshold)
     h = _check.positive("step size", h)
-    return _level(ivp, x_max, threshold, h, _euler_advance)[0].crossing_x
+    row, trajectory = _level(ivp, x_max, threshold, h, _euler_advance)
+    if trajectory is not None and trajectory.rhs_undefined:
+        raise ValueError(trajectory.termination_reason)
+    return row.crossing_x
 
 
 def _run_levels(
     ivp: IVP, x_max: float, threshold: float, h0: float, levels: int, advance
-) -> tuple[tuple[EvidenceRow, ...], Trajectory | None]:
-    """One evidence row per level, and the finest level's trajectory."""
+) -> tuple[tuple[EvidenceRow, ...], Trajectory | None, str | None]:
+    """One evidence row per level, the finest level's trajectory, and the first rhs-undefined reason."""
     rows = []
+    undefined = None
     for level in range(levels):
         row, trajectory = _level(ivp, x_max, threshold, h0 / (2.0**level), advance)
         rows.append(row)
-    return tuple(rows), trajectory
+        if undefined is None and trajectory is not None and trajectory.rhs_undefined:
+            undefined = trajectory.termination_reason
+    return tuple(rows), trajectory, undefined
 
 
 def _classify(rows: tuple[EvidenceRow, ...]) -> tuple[str, str | None, tuple[float, float] | None]:
@@ -162,16 +174,30 @@ def estimate_blowup(
     forward Euler, then repeats the study with RK4.  BlowupDetected
     requires every Euler level to cross with crossings Cauchy-decreasing
     and RK4 to agree qualitatively; BoundedOnInterval requires no level
-    of either integrator to cross.  Everything else is Inconclusive.
+    of either integrator to cross.  Everything else is Inconclusive,
+    including any level whose rhs leaves its domain: a pole or a log of
+    a negative value is not an escape of the solution.
     """
     x_max = _check.above("x_max", x_max, "x0", ivp.x0)
     threshold = _check.positive("threshold", threshold)
     h0 = _check.positive("h0", h0)
     levels = _check.integer("levels", levels, 3)
 
-    evidence, finest = _run_levels(ivp, x_max, threshold, h0, levels, _euler_advance)
+    evidence, finest, undefined = _run_levels(ivp, x_max, threshold, h0, levels, _euler_advance)
+    rk4_evidence, _, rk4_undefined = _run_levels(ivp, x_max, threshold, h0, levels, _rk4_advance)
+    if undefined or rk4_undefined:
+        return BlowupReport(
+            verdict=BlowupVerdict.INCONCLUSIVE,
+            x_estimate=None,
+            bracket=None,
+            tolerance=None,
+            x_end=None,
+            max_abs_y=None,
+            reason=undefined or rk4_undefined,
+            evidence=evidence,
+        )
     euler_kind, euler_reason, bracket = _classify(evidence)
-    rk4_kind, rk4_reason, _ = _classify(_run_levels(ivp, x_max, threshold, h0, levels, _rk4_advance)[0])
+    rk4_kind, rk4_reason, _ = _classify(rk4_evidence)
 
     if euler_kind == "detected" and rk4_kind == "detected":
         last = evidence[-1].crossing_x

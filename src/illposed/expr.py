@@ -46,6 +46,7 @@ __all__ = [
     "EvalError",
     "UnboundVariableError",
     "DomainError",
+    "OverflowDomainError",
     "FUNCTIONS",
     "CONSTANTS",
     "parse",
@@ -102,6 +103,10 @@ class DomainError(EvalError):
         super().__init__(message)
         self.reason = reason
         self.node = node
+
+
+class OverflowDomainError(DomainError):
+    """A result too large in magnitude for a finite double; the operands were in the domain."""
 
 
 class Expression:
@@ -319,21 +324,21 @@ def _add(a: float, b: float) -> float:
     r = a + b
     if math.isfinite(r):
         return r
-    raise DomainError("overflow in addition")
+    raise OverflowDomainError("overflow in addition")
 
 
 def _sub(a: float, b: float) -> float:
     r = a - b
     if math.isfinite(r):
         return r
-    raise DomainError("overflow in subtraction")
+    raise OverflowDomainError("overflow in subtraction")
 
 
 def _mul(a: float, b: float) -> float:
     r = a * b
     if math.isfinite(r):
         return r
-    raise DomainError("overflow in multiplication")
+    raise OverflowDomainError("overflow in multiplication")
 
 
 def _div(a: float, b: float) -> float:
@@ -342,7 +347,7 @@ def _div(a: float, b: float) -> float:
     r = a / b
     if math.isfinite(r):
         return r
-    raise DomainError("overflow in division")
+    raise OverflowDomainError("overflow in division")
 
 
 def _pow(a: float, b: float) -> float:
@@ -353,17 +358,17 @@ def _pow(a: float, b: float) -> float:
     try:
         r = math.pow(a, b)
     except (OverflowError, ValueError):
-        raise DomainError("overflow in power") from None
+        raise OverflowDomainError("overflow in power") from None
     if math.isfinite(r):
         return r
-    raise DomainError("overflow in power")
+    raise OverflowDomainError("overflow in power")
 
 
 def _exp(a: float) -> float:
     try:
         return math.exp(a)
     except OverflowError:
-        raise DomainError("overflow in exp") from None
+        raise OverflowDomainError("overflow in exp") from None
 
 
 def _ln(a: float) -> float:
@@ -421,13 +426,13 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
         try:
             return _BINARY_OPS[expr.op](left, right)
         except DomainError as err:
-            raise DomainError(err.reason, expr) from None
+            raise type(err)(err.reason, expr) from None
     if isinstance(expr, Call):
         arg = evaluate(expr.arg, bindings)
         try:
             return _FUNCTION_OPS[expr.func](arg)
         except DomainError as err:
-            raise DomainError(err.reason, expr) from None
+            raise type(err)(err.reason, expr) from None
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -16,7 +16,9 @@ origin (useful when an equation hides an isolated solution point).
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -77,8 +79,14 @@ DIVERGENCE_CAP = 1e12
 AGREEMENT_TOL = 1e-4
 ANGULAR_CAP = 1e6
 
-# 65,536 doubles make 512 KB per scan temporary, so a chunk's working set stays in cache
-_SCAN_CHUNK = 65_536
+# Points per scan chunk (polar angles) or row block (implicit lattice).
+# 16,384 doubles make 128 KB temporaries.  Measured against 65,536 on a
+# 2-vCPU host: the implicit scan runs as fast, and threaded polar shares
+# no longer leave freed 512 KB chunks in a second malloc arena, which
+# raised the dense-scan benchmark's peak RSS by 9-16%.
+_SCAN_CHUNK = 16_384
+# The polar scan spreads its chunks over the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class PathStatus(str, Enum):
@@ -319,6 +327,9 @@ def angular_bound_scan(
     anywhere (domain escape) counts as unbounded evidence.  Resolution
     matters: a pole hiding between grid angles needs n_angles on the
     order of the cap before the ratio test can see it.
+
+    Chunks of angles are spread in contiguous shares over the CPUs the
+    process may run on; a scan of one chunk runs in the calling thread.
     """
     _check.variables("f", ("x", "y"), f)
     rs = _check.decreasing("radii", radii)
@@ -328,19 +339,70 @@ def angular_bound_scan(
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
-    worst = [0.0] * len(rs)
-    for start in range(0, n_angles, _SCAN_CHUNK):
-        # one cos/sin per angle chunk, shared by every radius
-        angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
-        cos, sin = np.cos(angles), np.sin(angles)
-        for k, r in enumerate(rs):
-            if worst[k] < math.inf:
-                chunk_worst = float(np.max(np.abs(fn(r * cos, r * sin))))
-                # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
-                worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
+
+    def scan(starts: range, stop: threading.Event) -> list[float]:
+        worst = [0.0] * len(rs)
+        for start in starts:
+            if stop.is_set():
+                break
+            # one cos/sin per angle chunk, shared by every radius
+            angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
+            cos, sin = np.cos(angles), np.sin(angles)
+            for k, r in enumerate(rs):
+                if worst[k] < math.inf:
+                    chunk_worst = float(np.max(np.abs(fn(r * cos, r * sin))))
+                    # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
+                    worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
+        return worst
+
+    # contiguous shares of the chunk starts; max is exact in any order,
+    # so the rows do not depend on how many shares there are
+    starts = range(0, n_angles, _SCAN_CHUNK)
+    n = min(_WORKERS, len(starts))
+    shares = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
+    worst = [max(column) for column in zip(*_run_shares(scan, shares))]
     rows = tuple(zip(rs, worst))
     bounded = all(m / r < cap for r, m in rows)
     return AngularScan(rows, bounded, n_angles, cap)
+
+
+def _run_shares(work, shares: list[range]) -> list:
+    """work(share, stop) for each share: the first in this thread, every other in a thread of its own.
+
+    So one share starts no thread.  Any exception, in any share or while
+    this thread waits for the others, sets `stop`, which each share
+    checks before its next chunk; once every thread has ended, the first
+    exception is raised again.
+    """
+    stop = threading.Event()
+    results: list = [None] * len(shares)
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = work(shares[i], stop)
+        except BaseException as err:
+            errors.append(err)
+            stop.set()
+
+    started: list[threading.Thread] = []
+    try:
+        for i in range(1, len(shares)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+        for thread in started:
+            thread.join()
+    except BaseException:
+        # an interrupt while joining, or a thread that could not start
+        stop.set()
+        for thread in started:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return results
 
 
 def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple[float, float]]:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import _check
 from ._fmt import format_float
-from .expr import EvalError, Expression, compile_scalar, evaluate
+from .expr import EvalError, Expression, OverflowDomainError, compile_scalar, evaluate
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -38,6 +38,10 @@ __all__ = [
 # of the 1.8e308 double ceiling, so the guard fires before arithmetic
 # can overflow.  A blow-up threshold above it escapes at the guard.
 OVERFLOW_GUARD = 1e300
+
+# How a termination reason starts when the rhs left its domain (a pole,
+# a log or root of a negative value), as opposed to growing past the doubles
+_RHS_UNDEFINED = "rhs undefined"
 
 
 class TrajectoryPoint(NamedTuple):
@@ -72,6 +76,10 @@ class Trajectory:
     @property
     def terminated_early(self) -> bool:
         return self.termination_reason is not None
+
+    @property
+    def rhs_undefined(self) -> bool:
+        return self.termination_reason is not None and self.termination_reason.startswith(_RHS_UNDEFINED)
 
     @property
     def points(self) -> tuple[TrajectoryPoint, ...]:
@@ -115,7 +123,9 @@ def rk4_step(rhs: Expression, x: float, y: float, h: float) -> float:
 
 
 def _integrate(ivp: IVP, h: float, n_steps: int, advance, bound: float) -> Trajectory:
-    # the one escape test: a run stops at the first step whose |y| reaches bound
+    # the one escape test: a run stops at the first step whose |y| reaches
+    # bound or whose rhs overflows; an rhs outside its domain stops it too,
+    # with a reason that says so
     h = _check.positive("step size", h)
     n_steps = _check.integer("number of steps", n_steps, 1)
     x0 = ivp.x0
@@ -127,8 +137,11 @@ def _integrate(ivp: IVP, h: float, n_steps: int, advance, bound: float) -> Traje
     for k in range(1, n_steps + 1):
         try:
             y = advance(f, x, y, h)
-        except EvalError as err:
+        except OverflowDomainError as err:
             reason = f"rhs evaluation failed at x={x!r}: {err}"
+            break
+        except EvalError as err:
+            reason = f"{_RHS_UNDEFINED} at x={x!r}: {err}"
             break
         x = x0 + k * h
         if not abs(y) < bound:  # NaN fails this too

@@ -19,7 +19,7 @@ from illposed.blowup import (
     threshold_crossing,
 )
 from illposed.expr import parse
-from illposed.ode import IVP
+from illposed.ode import IVP, integrate_euler
 
 PI_HALF = math.pi / 2
 
@@ -175,3 +175,37 @@ def test_a_start_at_the_threshold_crosses_at_x0_on_every_level():
 )
 def test_a_threshold_above_the_overflow_guard_crosses_at_the_guard(ivp, h, x_max, crossing):
     assert threshold_crossing(ivp, h, x_max, 1e305) == crossing
+
+
+# --- an rhs outside its domain is not an escape ---------------------------------
+
+
+@pytest.mark.parametrize(
+    ("rhs", "reason"),
+    [
+        # y = (1-x)(1-ln(1-x)) - 1 stays bounded and tends to -1 at x = 1
+        ("ln(1-x)", "rhs undefined at x=1.0: log of a non-positive value in 'ln(1.0-x)'"),
+        ("1/0", "rhs undefined at x=0.0: division by zero in '1.0/0.0'"),
+    ],
+)
+def test_an_undefined_rhs_is_inconclusive_not_blowup(rhs, reason):
+    report = estimate_blowup(IVP(parse(rhs), 0.0, 0.0), 2.0, h0=0.1, levels=4)
+    assert report.verdict is BlowupVerdict.INCONCLUSIVE
+    assert report.reason == reason
+    assert report.bracket is None
+    assert all(row.crossing_x is None and row.y_at_target is None for row in report.evidence)
+    with pytest.raises(ValueError, match="^rhs undefined at x="):
+        threshold_crossing(IVP(parse(rhs), 0.0, 0.0), 0.1, 2.0, 1e8)
+
+
+def test_an_overflowing_rhs_still_counts_as_an_escape():
+    # y' = exp(y), y(0) = 0 has its pole at x = 1; at h = 0.005 exp(y)
+    # overflows before |y| reaches the 1e8 threshold
+    ivp = IVP(parse("exp(y)"), 0.0, 0.0)
+    level = integrate_euler(ivp, 0.005, 400)
+    assert level.termination_reason.startswith("rhs evaluation failed at x=1.025: overflow in exp")
+    assert not level.rhs_undefined and abs(level.final.y) < 1e8
+    assert threshold_crossing(ivp, 0.005, 2.0, 1e8) == level.final.x
+    report = estimate_blowup(ivp, 2.0, h0=0.01)
+    assert report.verdict is BlowupVerdict.BLOWUP_DETECTED
+    assert report.bracket[0] < 1.0 < report.bracket[1]

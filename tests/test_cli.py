@@ -126,6 +126,26 @@ def test_blowup_json(capsys):
     assert data["bracket"][0] < 1.5707963267948966 < data["bracket"][1]
 
 
+_WINDOW = ["--x0", "0", "--y0", "0", "--xmax", "2"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "verdict"),
+    [
+        (["--rhs", "ln(1-x)", *_WINDOW, "--h0", "0.1", "--levels", "4"], "Inconclusive"),
+        (["--rhs", "1/0", *_WINDOW, "--h0", "0.1", "--levels", "4"], "Inconclusive"),
+        # its h = 0.005 level stops on overflow in exp, which is an escape
+        (["--rhs", "exp(y)", *_WINDOW, "--h0", "0.01"], "BlowupDetected"),
+    ],
+)
+def test_blowup_tells_an_undefined_rhs_from_an_escape(capsys, argv, verdict):
+    assert run(["blowup", *argv]) == 0
+    data = json.loads(out_of(capsys)[0])
+    assert data["verdict"] == verdict
+    if verdict == "Inconclusive":
+        assert data["reason"].startswith("rhs undefined at x=")
+
+
 def test_blowup_strict_inconclusive_exits_3(capsys):
     code = run(["blowup", "--rhs", "y^2+1", "--x0", "0", "--y0", "0",
                 "--xmax", "1.6", "--threshold", "1e8", "--h0", "0.01",
@@ -539,6 +559,31 @@ def test_numpy_is_imported_only_by_the_scans(tmp_path, capsys):
     for argv, (code, out) in zip(README_SCAN_COMMANDS, scan_results):
         assert run(argv) == 0
         assert (code, out) == (0, out_of(capsys)[0])
+
+
+_FUTURES_RUN = """
+import contextlib, io, json, sys
+import illposed.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(illposed.cli.run(argv))
+print(json.dumps([codes, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_no_readme_command_imports_concurrent_futures(tmp_path):
+    # importing concurrent.futures costs milliseconds that every cold scan would pay
+    sweep = tmp_path / "sweep.csv"
+    commands = [
+        [str(sweep) if arg == "sweep.csv" else arg for arg in argv]
+        for argv in README_SCALAR_COMMANDS + README_SCAN_COMMANDS + [["polar-scan", "--f", "x*y", "--angles", "100000"]]
+    ]
+    proc = subprocess.run([sys.executable, "-c", _FUTURES_RUN, json.dumps(commands)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    assert not imported
 
 
 # 0, the edges of the double range, and 30 with the doubles just above it

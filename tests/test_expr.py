@@ -15,6 +15,7 @@ from illposed.expr import (
     DomainError,
     ExpressionError,
     Literal,
+    OverflowDomainError,
     ParseError,
     Unary,
     UnboundVariableError,
@@ -185,6 +186,32 @@ def test_overflow_is_a_domain_error_not_inf():
         ev("1e300*1e300")
     with pytest.raises(DomainError):
         ev("exp(1000)")
+
+
+@pytest.mark.parametrize(
+    ("source", "reason"),
+    [
+        ("1e300*1e300", "overflow in multiplication"),
+        ("1e308+1e308", "overflow in addition"),
+        ("0-1e308-1e308", "overflow in subtraction"),
+        ("1e308/1e-10", "overflow in division"),
+        ("10^400", "overflow in power"),
+        ("exp(1000)", "overflow in exp"),
+    ],
+)
+def test_overflow_raises_the_overflow_subclass(source, reason):
+    for run in (lambda: ev(source), lambda: compile_scalar(parse(source), ())()):
+        with pytest.raises(OverflowDomainError) as exc:
+            run()
+        assert exc.value.reason == reason
+        assert exc.value.node is not None  # the tree walk names the subtree
+
+
+@pytest.mark.parametrize("source", ["1/0", "ln(0)", "sqrt(0-1)", "(0-8)^(1/3)", "0^(0-1)"])
+def test_a_domain_failure_is_not_an_overflow(source):
+    with pytest.raises(DomainError) as exc:
+        ev(source)
+    assert not isinstance(exc.value, OverflowDomainError)
 
 
 def test_integer_power_of_negative_base_is_fine():

@@ -9,6 +9,8 @@ though the "test all lines" heuristic says otherwise.
 import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -438,12 +440,101 @@ def _whole_circle_scan(f, radii, n_angles, cap):
 def test_polar_chunks_match_the_whole_circle(monkeypatch, text):
     f, radii = parse(text), (0.5, 0.1, 1e-3)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    scan = angular_bound_scan(f, radii, 2501)
-    assert scan == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
-    if text in ("ln(x)", "sqrt(y)"):
-        # sqrt(y) is finite on the whole first chunk and nan only later
-        assert not scan.bounded
-        assert all(m == math.inf for _, m in scan.rows)
+    # 2501 angles make three chunks, so seven workers still get only three
+    # shares; 360 angles make one chunk, fewer than workers * chunk
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(limits, "_WORKERS", workers)
+        for n_angles in (2501, 360):
+            scan = angular_bound_scan(f, radii, n_angles)
+            assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP), (workers, n_angles)
+            if text in ("ln(x)", "sqrt(y)"):
+                # sqrt(y) is finite on the whole first chunk and nan only later
+                assert not scan.bounded
+                assert all(m == math.inf for _, m in scan.rows)
+
+
+def test_polar_shares_agree_with_more_workers_than_cores_under_fast_switching(monkeypatch):
+    f, radii = parse(SADDLE), (0.5, 1e-3)
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", 500)
+    monkeypatch.setattr(limits, "_WORKERS", 7)
+    expected = _whole_circle_scan(f, radii, 20_001, ANGULAR_CAP)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert angular_bound_scan(f, radii, 20_001) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    ("failing", "error"),
+    [("worker", _Boom), ("main", _Boom), ("main", KeyboardInterrupt)],
+)
+def test_a_failing_share_stops_the_others_within_one_chunk(monkeypatch, failing, error):
+    calls: dict[str, int] = {"main": 0, "worker": 0}
+    at_error: dict[str, int] = {}
+    real_compile = limits.compile_array
+
+    def failing_compile(*args):
+        fn = real_compile(*args)
+
+        def wrapper(x, y):
+            share = "main" if threading.current_thread() is threading.main_thread() else "worker"
+            if share == failing and not at_error:
+                at_error.update(calls)
+                raise error("injected")
+            calls[share] += 1
+            return fn(x, y)
+
+        return wrapper
+
+    monkeypatch.setattr(limits, "compile_array", failing_compile)
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
+    monkeypatch.setattr(limits, "_WORKERS", 2)
+    threads_before = threading.active_count()
+    with pytest.raises(error, match="injected"):
+        angular_bound_scan(parse(CUBIC), (0.1,), 80_000)  # two shares of 40 chunks
+    assert threading.active_count() == threads_before
+    other = "main" if failing == "worker" else "worker"
+    # at most the chunk in flight when the error struck, and one begun
+    # before the stop event was set
+    assert calls[other] - at_error[other] <= 2
+    assert calls[failing] == 0
+
+
+def test_a_one_chunk_scan_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-chunk scan started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(limits, "_WORKERS", 7)
+    scan = angular_bound_scan(parse(CUBIC))
+    assert scan.n_angles == 720 <= limits._SCAN_CHUNK
+
+
+def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
+    idents = set()
+    real_compile = limits.compile_array
+
+    def recording_compile(*args):
+        fn = real_compile(*args)
+
+        def wrapper(x, y):
+            idents.add(threading.get_ident())
+            return fn(x, y)
+
+        return wrapper
+
+    monkeypatch.setattr(limits, "compile_array", recording_compile)
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
+    monkeypatch.setattr(limits, "_WORKERS", 3)
+    angular_bound_scan(parse(CUBIC), (0.1,), 9000)
+    assert len(idents) == 3 and threading.get_ident() in idents
 
 
 # --- scan verdicts against scalar libm re-evaluation -------------------------------

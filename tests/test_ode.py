@@ -172,6 +172,7 @@ def test_rhs_overflow_stops_the_run():
     tr = integrate_euler(IVP(parse("y^2"), 0.0, 1.0), 0.2, 50)
     assert tr.terminated_early
     assert "rhs evaluation failed" in tr.termination_reason
+    assert not tr.rhs_undefined
     assert tr.final.y == 1.1604822382262354e+162
     assert math.isfinite(tr.final.y)
 
@@ -187,6 +188,8 @@ def test_terminated_early_is_read_from_the_termination_reason(reason):
 def test_domain_error_in_rhs_stops_the_run():
     tr = integrate_euler(IVP(parse("ln(1-x)"), 0.0, 0.0), 0.5, 10)
     assert tr.terminated_early
+    assert tr.rhs_undefined
+    assert tr.termination_reason == "rhs undefined at x=1.0: log of a non-positive value in 'ln(1.0-x)'"
     # x = 1 makes ln(0) blow up; points up to x = 0.5 survive
     assert tr.final.x == 1.0
 
