@@ -185,58 +185,26 @@ def estimate_blowup(
 
     evidence, finest, undefined = _run_levels(ivp, x_max, threshold, h0, levels, _euler_advance)
     rk4_evidence, _, rk4_undefined = _run_levels(ivp, x_max, threshold, h0, levels, _rk4_advance)
+
+    def report(verdict, x_estimate=None, bracket=None, tolerance=None, x_end=None, max_abs_y=None, reason=None):
+        return BlowupReport(verdict, x_estimate, bracket, tolerance, x_end, max_abs_y, reason, evidence)
+
     if undefined or rk4_undefined:
-        return BlowupReport(
-            verdict=BlowupVerdict.INCONCLUSIVE,
-            x_estimate=None,
-            bracket=None,
-            tolerance=None,
-            x_end=None,
-            max_abs_y=None,
-            reason=undefined or rk4_undefined,
-            evidence=evidence,
-        )
+        return report(BlowupVerdict.INCONCLUSIVE, reason=undefined or rk4_undefined)
     euler_kind, euler_reason, bracket = _classify(evidence)
     rk4_kind, rk4_reason, _ = _classify(rk4_evidence)
 
     if euler_kind == "detected" and rk4_kind == "detected":
         last = evidence[-1].crossing_x
         assert bracket is not None and last is not None
-        return BlowupReport(
-            verdict=BlowupVerdict.BLOWUP_DETECTED,
-            x_estimate=last,
-            bracket=bracket,
-            tolerance=bracket[1] - bracket[0],
-            x_end=None,
-            max_abs_y=None,
-            reason=None,
-            evidence=evidence,
-        )
+        return report(BlowupVerdict.BLOWUP_DETECTED, last, bracket, tolerance=bracket[1] - bracket[0])
     if euler_kind == "bounded" and rk4_kind == "bounded":
-        return BlowupReport(
-            verdict=BlowupVerdict.BOUNDED_ON_INTERVAL,
-            x_estimate=None,
-            bracket=None,
-            tolerance=None,
-            x_end=finest.xs[-1],
-            max_abs_y=max(map(abs, finest.ys)),
-            reason=None,
-            evidence=evidence,
-        )
+        return report(BlowupVerdict.BOUNDED_ON_INTERVAL, x_end=finest.xs[-1], max_abs_y=max(map(abs, finest.ys)))
     if euler_kind != rk4_kind:
         reason = f"integrators disagree: Euler refinement looks {euler_kind}, RK4 looks {rk4_kind}"
     else:
         reason = euler_reason or rk4_reason or "refinement evidence is mixed"
-    return BlowupReport(
-        verdict=BlowupVerdict.INCONCLUSIVE,
-        x_estimate=None,
-        bracket=None,
-        tolerance=None,
-        x_end=None,
-        max_abs_y=None,
-        reason=reason,
-        evidence=evidence,
-    )
+    return report(BlowupVerdict.INCONCLUSIVE, reason=reason)
 
 
 def report_json(report: BlowupReport) -> str:

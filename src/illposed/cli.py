@@ -4,7 +4,8 @@ One subcommand per diagnostic.  Exit codes: 0 success, 1 usage errors
 (bad flags, bad numbers, filesystem trouble), 2 expression parse errors,
 3 a diagnostic that failed to produce an answer (a floor that leaves no
 feasible midpoint, a cooling fit beyond the double range, a non-finite
-number in JSON output, or an Inconclusive verdict under --strict).
+number in JSON output, or an Inconclusive verdict under --strict),
+130 interrupted.
 
 Output is assembled fully in memory; every file a run writes is staged
 to a unique temp and renamed into place only once all of them are
@@ -66,18 +67,6 @@ from .ode import (
 from .recurrence import RecurrenceInstance, sequence_csv
 
 __all__ = ["main", "run", "UsageError"]
-
-_FORMATS: dict[str, tuple[str, ...]] = {
-    "euler": ("csv",),
-    "blowup": ("json",),
-    "variability": ("csv",),
-    "cooling fit": ("json",),
-    "cooling range": ("json",),
-    "recurrence": ("csv",),
-    "limit": ("json", "csv"),
-    "polar-scan": ("csv",),
-    "implicit-scan": ("csv",),
-}
 
 _BOOLEAN_KEYS = frozenset({"strict", "default-set"})
 
@@ -173,7 +162,9 @@ def _apply_config(argv: list[str]) -> list[str]:
     return cleaned[:head] + flags + cleaned[head:]
 
 
-def _add_output_flags(p: argparse.ArgumentParser, rounds: bool = False) -> None:
+def _declare(p: argparse.ArgumentParser, run: Callable, formats: tuple[str, ...], rounds: bool = False) -> None:
+    """Give subcommand parser p the shared flags, its handler and its formats, the first the default."""
+    p.set_defaults(run=run, formats=formats, key=p.prog.removeprefix("illposed "))
     p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), help="output format (commands support a fixed set)")
     p.add_argument("--config", metavar="PATH", help="file of key=value defaults (long option names as keys)")
@@ -189,14 +180,14 @@ def _add_ivp_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="illposed", description="Diagnostics for ill-posed textbook problems.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
     p = sub.add_parser("euler", help="fixed-step integration of y' = f(x, y) to CSV")
     _add_ivp_flags(p)
     p.add_argument("--h", required=True, type=float, metavar="R")
     p.add_argument("--steps", required=True, type=int, metavar="N")
     p.add_argument("--method", choices=("euler", "rk4"), default="euler")
-    _add_output_flags(p, rounds=True)
+    _declare(p, _cmd_euler, ("csv",), rounds=True)
 
     p = sub.add_parser("blowup", help="refinement study of finite-time blow-up")
     _add_ivp_flags(p)
@@ -205,22 +196,22 @@ def build_parser() -> _Parser:
     p.add_argument("--h0", type=float, default=DEFAULT_H0, metavar="R")
     p.add_argument("--levels", type=int, default=DEFAULT_LEVELS, metavar="N")
     p.add_argument("--strict", action="store_true", help="exit 3 on an Inconclusive verdict")
-    _add_output_flags(p)
+    _declare(p, _cmd_blowup, ("json",))
 
     p = sub.add_parser("variability", help="Euler value at a target abscissa across step sizes")
     _add_ivp_flags(p)
     p.add_argument("--target", required=True, type=float, metavar="R")
     p.add_argument("--h", required=True, metavar="LIST", help="comma-separated step sizes")
-    _add_output_flags(p, rounds=True)
+    _declare(p, _cmd_variability, ("csv",), rounds=True)
 
     cooling = sub.add_parser("cooling", help="three-point cooling fits")
-    cooling_sub = cooling.add_subparsers(dest="cooling_command", metavar="ACTION", required=True)
+    cooling_sub = cooling.add_subparsers(metavar="ACTION", required=True)
 
     p = cooling_sub.add_parser("fit", help="fit T_M and k to three equally spaced readings")
     p.add_argument("--t1", required=True, type=float, metavar="R", help="time of the middle reading")
     p.add_argument("--temps", required=True, metavar="T0,T1,T2")
     p.add_argument("--floor", type=float, default=ABSOLUTE_ZERO_C, metavar="R")
-    _add_output_flags(p)
+    _declare(p, _cmd_cooling_fit, ("json",))
 
     p = cooling_sub.add_parser("range", help="feasible midpoint readings for fixed endpoints")
     p.add_argument("--temps", required=True, metavar="T0,T2")
@@ -228,14 +219,14 @@ def build_parser() -> _Parser:
     p.add_argument("--t1", type=float, default=0.5, metavar="R", help="reading spacing used for the sweep's k column")
     p.add_argument("--sweep", type=int, metavar="N", help="also fit N midpoint readings across the interval")
     p.add_argument("--sweep-out", metavar="PATH", help="where to write the sweep CSV")
-    _add_output_flags(p)
+    _declare(p, _cmd_cooling_range, ("json",))
 
     p = sub.add_parser("recurrence", help="iterate x_{n+2} = (x_{n+1} + x_n)/2")
     p.add_argument("--a", required=True, type=float, metavar="R")
     p.add_argument("--b", required=True, type=float, metavar="R")
     p.add_argument("--n", required=True, type=int, metavar="N")
     p.add_argument("--tol", type=float, default=1e-10, metavar="R", help="settling tolerance for the limit comment")
-    _add_output_flags(p, rounds=True)
+    _declare(p, _cmd_recurrence, ("csv",), rounds=True)
 
     p = sub.add_parser("limit", help="two-variable limit at the origin along paths")
     p.add_argument("--f", required=True, metavar="EXPR")
@@ -254,19 +245,19 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--default-set", action="store_true", help="include the stock path set")
     p.add_argument("--strict", action="store_true", help="exit 3 on an Inconclusive verdict")
-    _add_output_flags(p, rounds=True)
+    _declare(p, _cmd_limit, ("json", "csv"), rounds=True)
 
     p = sub.add_parser("polar-scan", help="max |f| over dense circles of shrinking radius")
     p.add_argument("--f", required=True, metavar="EXPR")
     p.add_argument("--radii", metavar="LIST", help="comma-separated decreasing radii")
     p.add_argument("--angles", type=int, default=720, metavar="N")
-    _add_output_flags(p, rounds=True)
+    _declare(p, _cmd_polar_scan, ("csv",), rounds=True)
 
     p = sub.add_parser("implicit-scan", help="sign-change cells of F(x, y) = 0 away from the origin")
     p.add_argument("--f", required=True, metavar="EXPR")
     p.add_argument("--radius", required=True, type=float, metavar="R")
     p.add_argument("--grid", type=int, default=400, metavar="N")
-    _add_output_flags(p, rounds=True)
+    _declare(p, _cmd_implicit_scan, ("csv",), rounds=True)
 
     return parser
 
@@ -358,19 +349,6 @@ def _cmd_implicit_scan(args) -> str:
     return implicit_csv(cells, args.round)
 
 
-_DISPATCH: dict[str, Callable] = {
-    "euler": _cmd_euler,
-    "blowup": _cmd_blowup,
-    "variability": _cmd_variability,
-    "cooling fit": _cmd_cooling_fit,
-    "cooling range": _cmd_cooling_range,
-    "recurrence": _cmd_recurrence,
-    "limit": _cmd_limit,
-    "polar-scan": _cmd_polar_scan,
-    "implicit-scan": _cmd_implicit_scan,
-}
-
-
 def _write_outputs(outputs: Sequence[tuple[str | None, str]]) -> None:
     """Write every (path, text) output, or none of the files.
 
@@ -421,14 +399,12 @@ def run(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv_with_config)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        key = args.command if args.command != "cooling" else f"cooling {args.cooling_command}"
-        supported = _FORMATS[key]
         if args.format is None:
-            args.format = supported[0]
-        elif args.format not in supported:
-            raise UsageError(f"{key} supports --format {' and '.join(supported)} only")
+            args.format = args.formats[0]
+        elif args.format not in args.formats:
+            raise UsageError(f"{args.key} supports --format {' and '.join(args.formats)} only")
         _check_round(args)
-        result = _DISPATCH[key](args)
+        result = args.run(args)
         primary, extra = result if isinstance(result, tuple) else (result, {})
         _write_outputs([(args.out, primary), *extra.items()])
     except (UsageError, ValueError) as err:
@@ -443,6 +419,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as err:
         print(f"filesystem error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # every staged temp is already gone
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

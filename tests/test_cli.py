@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, config, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed.cli import run
+from illposed.cli import build_parser, run
 
 EULER_ARGS = ["euler", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--h", "0.5", "--steps", "2"]
 EULER_GOLD = "n,x_n,y_n\n0,0,0\n1,0.5,0.5\n2,1,1.125\n"
@@ -91,6 +92,17 @@ def test_out_to_a_directory_leaves_no_temp(tmp_path, capsys):
     assert "filesystem error" in out_of(capsys)[1]
     assert [p.name for p in tmp_path.iterdir()] == ["D"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("interrupted", ["illposed.cli.integrate_euler", "os.replace"])
+def test_interrupt_exits_130_and_writes_nothing(interrupted, tmp_path, monkeypatch, capsys):
+    def stop(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(interrupted, stop)
+    assert run(EULER_ARGS + ["--out", str(tmp_path / "table.csv")]) == 130
+    assert out_of(capsys) == ("", "interrupted\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_file_gets_the_usual_mode(tmp_path, capsys):
@@ -408,10 +420,41 @@ def test_missing_required_flag_exits_1(capsys):
     assert run(["euler", "--x0", "0", "--y0", "0", "--h", "0.5", "--steps", "2"]) == 1
 
 
-def test_unsupported_format_exits_1(capsys):
-    assert run(EULER_ARGS + ["--format", "json"]) == 1
-    _, err = out_of(capsys)
-    assert "supports --format" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (EULER_ARGS + ["--format", "json"], "euler supports --format csv only"),
+        (["blowup", "--rhs", "y", "--x0", "0", "--y0", "1", "--xmax", "1", "--format", "csv"],
+         "blowup supports --format json only"),
+        (["cooling", "fit", "--t1", "0.5", "--temps", "40,36,30", "--format", "csv"],
+         "cooling fit supports --format json only"),
+        (["cooling", "range", "--temps", "40,30", "--format", "csv"], "cooling range supports --format json only"),
+    ],
+    ids=["euler", "blowup", "cooling-fit", "cooling-range"],
+)
+def test_unsupported_format_exits_1(argv, message, capsys):
+    assert run(argv) == 1
+    assert out_of(capsys) == ("", f"usage error: {message}\n")
+
+
+def _leaf_parsers(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_subcommand_declares_its_handler_and_formats():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) == 9
+    for path, leaf in leaves.items():
+        assert callable(leaf.get_default("run"))
+        assert leaf.get_default("key") == " ".join(path)
+        choices = next(a.choices for a in leaf._actions if a.dest == "format")
+        formats = leaf.get_default("formats")
+        assert formats and set(formats) <= set(choices), path
 
 
 def test_round_out_of_range_exits_1(capsys):
