@@ -3,22 +3,32 @@
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
 
 class DiagnosticError(RuntimeError):
     """A diagnostic could not produce an answer (as opposed to bad usage)."""
 
 
-def format_float(value: float, round_to: int | None = None) -> str:
-    """Render a double for tabular output.
+def cells(values: Iterable[float | None], round_to: int | None = None) -> list[str]:
+    """One CSV column of doubles, with the format picked once for the column.
 
     The default uses 17 significant digits, which round-trips every
     double exactly.  `round_to` switches to fixed decimals for matching
-    hand-rounded tables.
+    hand-rounded tables.  A missing value (None) is an empty cell.
     """
-    if round_to is not None:
-        return f"{value:.{round_to}f}"
-    return f"{value:.17g}"
+    spec = "%.17g" if round_to is None else f"%.{round_to}f"
+    return ["" if v is None else spec % v for v in values]
+
+
+def csv_text(comments: Iterable[str], header: str, *columns: Iterable[str]) -> str:
+    """`# ` comment lines, the header, then one row per position across the
+    ready-made string columns, with a final newline.  Columns of unequal
+    length raise ValueError."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(header)
+    lines.extend(map(",".join, zip(*columns, strict=True)))
+    return "\n".join(lines) + "\n"
 
 
 def json_text(payload: dict) -> str:

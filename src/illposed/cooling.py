@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from . import _check
-from ._fmt import DiagnosticError, format_float, json_text
+from ._fmt import DiagnosticError, cells, csv_text, json_text
 
 __all__ = [
     "ABSOLUTE_ZERO_C",
@@ -241,10 +241,7 @@ def sweep_csv(T0: float, T2: float, n: int, floor: float = ABSOLUTE_ZERO_C, t1: 
     # readings past half the double range overflow the sum; halving first rounds only once too
     mid = 0.5 * total if math.isfinite(total) else 0.5 * T0 + 0.5 * T2
     step = (mid - T2) / (n + 1)
-    lines = ["c,T_M,k,verdict"]
-    for i in range(1, n + 1):
-        c = T2 + i * step
-        fit = fit_three_point(CoolingObservations(t1, T0, c, T2), floor)
-        T_M, k = ("", "") if fit.T_M is None else (format_float(fit.T_M), format_float(fit.k))
-        lines.append(f"{format_float(c)},{T_M},{k},{fit.verdict.value}")
-    return "\n".join(lines) + "\n"
+    readings = [T2 + i * step for i in range(1, n + 1)]
+    fits = [fit_three_point(CoolingObservations(t1, T0, c, T2), floor) for c in readings]
+    T_M, k = cells([fit.T_M for fit in fits]), cells([fit.k for fit in fits])
+    return csv_text((), "c,T_M,k,verdict", cells(readings), T_M, k, [fit.verdict.value for fit in fits])

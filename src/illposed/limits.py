@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import _check
-from ._fmt import format_float, json_text
+from ._fmt import cells as column, csv_text, json_text
 from .expr import (
     Binary,
     Call,
@@ -173,6 +173,12 @@ def _number(value: float) -> Expression:
     return Literal(float(value))
 
 
+def _label_number(value: float) -> str:
+    """The short %g text of value when it reads back as value, else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def trajectory_from_text(x_text: str, y_text: str, label: str | None = None) -> Trajectory2D:
     return Trajectory2D(parse(x_text), parse(y_text), label or f"x={x_text}, y={y_text}")
 
@@ -185,7 +191,7 @@ def line_trajectory(slope: float) -> Trajectory2D:
     elif slope == -1.0:
         label = "y=-x"
     else:
-        label = f"y={slope:g}x"
+        label = f"y={_label_number(slope)}x"
     return Trajectory2D(Variable("t"), Binary("*", _number(slope), Variable("t")), label)
 
 
@@ -201,7 +207,7 @@ def level_curve_trajectory(a: float) -> Trajectory2D:
         raise ValueError("level value must be nonzero")
     t = Variable("t")
     y = Binary("/", Binary("*", _number(a), t), Binary("-", t, _number(a)))
-    return Trajectory2D(t, y, f"level curve a={a:g}")
+    return Trajectory2D(t, y, f"level curve a={_label_number(a)}")
 
 
 def default_trajectories() -> list[Trajectory2D]:
@@ -477,33 +483,23 @@ def limit_report_json(report: LimitReport) -> str:
 
 def samples_csv(report: LimitReport, round_to: int | None = None) -> str:
     """Raw samples, one commented block per path, each with a t,x,y,f table."""
-
-    def cell(value: float | None) -> str:
-        return "" if value is None else format_float(value, round_to)
-
-    lines: list[str] = []
-    for p in report.paths:
-        lines.append(f"# trajectory: {p.label}")
-        lines.append(f"# status: {p.status.value}")
-        lines.append("t,x,y,f")
-        for s in p.samples:
-            lines.append(f"{format_float(s.t, round_to)},{cell(s.x)},{cell(s.y)},{cell(s.f)}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        csv_text(
+            (f"trajectory: {p.label}", f"status: {p.status.value}"),
+            "t,x,y,f",
+            *(column(values, round_to) for values in zip(*p.samples)),
+        )
+        for p in report.paths
+    )
 
 
 def polar_csv(scan: AngularScan, round_to: int | None = None) -> str:
-    lines = [
-        f"# bounded={'true' if scan.bounded else 'false'}",
-        f"# n_angles={scan.n_angles}",
+    return csv_text(
+        (f"bounded={'true' if scan.bounded else 'false'}", f"n_angles={scan.n_angles}"),
         "r,max_abs_f",
-    ]
-    for r, worst in scan.rows:
-        lines.append(f"{format_float(r, round_to)},{format_float(worst, round_to)}")
-    return "\n".join(lines) + "\n"
+        *(column(values, round_to) for values in zip(*scan.rows)),
+    )
 
 
 def implicit_csv(cells: Sequence[tuple[float, float]], round_to: int | None = None) -> str:
-    lines = ["cell_x,cell_y"]
-    for cx, cy in cells:
-        lines.append(f"{format_float(cx, round_to)},{format_float(cy, round_to)}")
-    return "\n".join(lines) + "\n"
+    return csv_text((), "cell_x,cell_y", *(column(values, round_to) for values in zip(*cells)))

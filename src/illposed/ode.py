@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from . import _check
-from ._fmt import format_float
+from ._fmt import cells, csv_text
 from .expr import EvalError, Expression, OverflowDomainError, compile_scalar, evaluate
 
 __all__ = [
@@ -189,15 +189,10 @@ def variability_table(ivp: IVP, x_target: float, step_sizes: Sequence[float]) ->
 
 
 def trajectory_csv(trajectory: Trajectory, round_to: int | None = None) -> str:
-    lines = ["n,x_n,y_n"]
-    for k, (x, y) in enumerate(zip(trajectory.xs, trajectory.ys)):
-        lines.append(f"{k},{format_float(x, round_to)},{format_float(y, round_to)}")
-    return "\n".join(lines) + "\n"
+    xs = trajectory.xs
+    return csv_text((), "n,x_n,y_n", map(str, range(len(xs))), cells(xs, round_to), cells(trajectory.ys, round_to))
 
 
 def variability_csv(rows: Sequence[VariabilityRow], round_to: int | None = None) -> str:
-    lines = ["h,y_at_target,escaped"]
-    for row in rows:
-        y = "" if row.y_at_target is None else format_float(row.y_at_target, round_to)
-        lines.append(f"{format_float(row.h, round_to)},{y},{'true' if row.escaped else 'false'}")
-    return "\n".join(lines) + "\n"
+    h, y = cells([row.h for row in rows], round_to), cells([row.y_at_target for row in rows], round_to)
+    return csv_text((), "h,y_at_target,escaped", h, y, ["true" if row.escaped else "false" for row in rows])

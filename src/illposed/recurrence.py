@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _check
-from ._fmt import format_float
+from ._fmt import cells, csv_text
 
 __all__ = [
     "RecurrenceInstance",
@@ -88,13 +88,8 @@ def detect_limit(sequence: Sequence[float], tol: float) -> tuple[float, int] | N
 def sequence_csv(instance: RecurrenceInstance, n: int, tol: float, round_to: int | None = None) -> str:
     """n,x_n rows, then trailing comments that report the limit settled within tol."""
     values = iterate_recurrence(instance, n)
-    lines = ["n,x_n"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{format_float(v, round_to)}")
+    text = csv_text((), "n,x_n", map(str, range(len(values))), cells(values, round_to))
     settled = detect_limit(values, tol)
     if settled is None:
-        lines.append("# limit=unsettled")
-    else:
-        lines.append(f"# limit={format_float(settled[0], round_to)}")
-        lines.append(f"# settled_at={settled[1]}")
-    return "\n".join(lines) + "\n"
+        return text + "# limit=unsettled\n"
+    return text + f"# limit={cells([settled[0]], round_to)[0]}\n# settled_at={settled[1]}\n"

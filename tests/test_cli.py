@@ -307,6 +307,13 @@ def test_limit_semicolon_trajectories_and_level_curves(capsys):
     assert data["verdict"] == "DoesNotExist"
 
 
+def test_level_curves_whose_g_text_agrees_are_distinct_paths(capsys):
+    code = run(["limit", "--f", "x*y/(x+y)", "--level-curve", "1", "--level-curve", "1.000001"])
+    out, err = out_of(capsys)
+    assert (code, err) == (0, "")
+    assert [p["label"] for p in json.loads(out)["paths"]] == ["level curve a=1", "level curve a=1.000001"]
+
+
 def test_limit_strict_inconclusive_exits_3(capsys):
     code = run(["limit", "--f", "x*y/(x+y)", "--strict"])
     assert code == 3

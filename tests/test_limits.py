@@ -14,6 +14,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from illposed import limits
 from illposed.expr import EvalError, compile_array, compile_scalar, parse
@@ -91,6 +93,36 @@ def test_line_trajectory_labels():
     assert line_trajectory(1.0).label == "y=x"
     assert line_trajectory(-1.0).label == "y=-x"
     assert line_trajectory(2.5).label == "y=2.5x"
+
+
+def test_labels_keep_values_that_g_would_merge_apart():
+    assert level_curve_trajectory(1.000001).label == "level curve a=1.000001"
+    assert line_trajectory(2.0000001).label == "y=2.0000001x"
+    assert line_trajectory(0.1 + 0.2).label == "y=0.30000000000000004x"
+    # %g text that reads back as the value is kept
+    assert level_curve_trajectory(1e-7).label == "level curve a=1e-07"
+    assert line_trajectory(-0.0).label == "y=-0x"
+    rep = compare_trajectories(
+        parse(SADDLE),
+        [line_trajectory(2.0), line_trajectory(2.0000001), level_curve_trajectory(1.0), level_curve_trajectory(1.000001)],
+    )
+    assert [p.label for p in rep.paths] == ["y=2x", "y=2.0000001x", "level curve a=1", "level curve a=1.000001"]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_label_numbers_read_back_and_stay_short(v):
+    text = limits._label_number(v)
+    assert float(text) == v
+    if float(f"{v:g}") == v:
+        assert text == f"{v:g}"
+
+
+@given(st.floats(0.01, 100.0), st.sampled_from([1.0, -1.0]))
+def test_path_labels_read_back_as_their_value(magnitude, sign):
+    v = sign * magnitude
+    assert float(level_curve_trajectory(v).label.removeprefix("level curve a=")) == v
+    if magnitude != 1.0:
+        assert float(line_trajectory(v).label.removeprefix("y=").removesuffix("x")) == v
 
 
 def test_default_set_composition():
