@@ -118,14 +118,20 @@ class Trajectory2D:
         references = []
         for probe in (1e-1, 1e-3):
             try:
-                references.append(self._norm(probe))
+                norm = self._norm(probe)
             except EvalError:
                 # a pole away from the origin (level curves with small a
                 # have one at t = a) does not disqualify the path
                 continue
+            if math.isfinite(norm):
+                references.append(norm)
         # shrinking alone is not enough; a path like x = t+1 shrinks
-        # toward norm 1 without ever nearing the origin
-        if tail >= 1e-2 or any(tail >= reference for reference in references):
+        # toward norm 1 without ever nearing the origin.  So the tail must
+        # also fall below 1e-2 of the path's scale: its largest finite
+        # reference norm, or 1 if that is smaller.  Steep lines such as
+        # y = 1e12*t pass; with no finite reference the bound is 1e-2
+        scale = max([1.0, *references])
+        if tail >= 1e-2 * scale or any(tail >= reference for reference in references):
             raise ValueError(f"path {self.label!r} does not approach the origin as t shrinks")
 
     def _norm(self, t: float) -> float:
@@ -415,11 +421,14 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     """Cells of a square lattice on [-R, R]^2 where F(x, y) = 0 shows up.
 
     A cell is flagged when its four corners are finite and either
-    straddle a sign change or include a corner with |F| < 1e-14.  Cells
-    containing the origin are excluded (the origin solves the classroom
-    equations trivially; the question is what else does), as are cells
-    whose centre falls outside the disk of radius R.  Returned cell
-    centres are sorted by x then y.
+    straddle a sign change or include a corner with |F| < 1e-14.  Each
+    row block is decided on boolean masks: finite, > 0, < 0 and
+    |F| < 1e-14 at every lattice point, combined over the four corners
+    of each cell.  The flagged cells alone then go through the two
+    exclusions: cells containing the origin (the origin solves the
+    classroom equations trivially; the question is what else does), and
+    cells whose centre falls outside the disk of radius R.  Returned
+    cell centres are sorted by x then y.
 
     The disk test squares the coordinates, so R must keep R*R a normal
     double and 2*R*R finite: about 1.5e-154 <= R <= 9.5e153.
@@ -433,27 +442,32 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
 
     xs = np.linspace(-R, R, grid_n)
     centres = 0.5 * (xs[:-1] + xs[1:])
+    squares = centres**2
     spans_zero = (xs[:-1] <= 0.0) & (xs[1:] >= 0.0)
     fn = compile_array(F, ("x", "y"))
     cells: list[tuple[float, float]] = []
+
+    def all_corners(points):
+        rows = points[:-1] & points[1:]
+        return rows[:, :-1] & rows[:, 1:]
+
+    def any_corner(points):
+        rows = points[:-1] | points[1:]
+        return rows[:, :-1] | rows[:, 1:]
+
     # row blocks of about _SCAN_CHUNK points, overlapping by one row;
     # F sees an (n, 1) column against a (1, N) row, so x-only terms cost O(n)
     block = max(1, _SCAN_CHUNK // grid_n)
     for i0 in range(0, grid_n - 1, block):
         i1 = min(i0 + block, grid_n - 1)
         values = fn(xs[i0 : i1 + 1].reshape(-1, 1), xs.reshape(1, -1))
-        a, b, c, d = values[:-1, :-1], values[1:, :-1], values[:-1, 1:], values[1:, 1:]
-        # min and max propagate nan and inf, so two isfinite tests cover all four corners
-        lowest = np.minimum(np.minimum(a, b), np.minimum(c, d))
-        highest = np.maximum(np.maximum(a, b), np.maximum(c, d))
-        near_zero = np.abs(a) < 1e-14
-        for corner in (b, c, d):
-            near_zero |= np.abs(corner) < 1e-14
-        flagged = np.isfinite(lowest) & np.isfinite(highest) & (((lowest < 0.0) & (highest > 0.0)) | near_zero)
-        flagged &= ~(spans_zero[i0:i1, None] & spans_zero[None, :])
-        flagged &= (centres[i0:i1, None] ** 2 + centres[None, :] ** 2) <= R * R
-        i, j = np.nonzero(flagged)
-        cells.extend(zip(centres[i0 + i].tolist(), centres[j].tolist()))
+        sign_change = any_corner(values > 0.0) & any_corner(values < 0.0)
+        flagged = all_corners(np.isfinite(values)) & (sign_change | any_corner(np.abs(values) < 1e-14))
+        # few cells are flagged, so the origin and disk tests run on those alone
+        i, j = np.divmod(np.flatnonzero(flagged), grid_n - 1)
+        i += i0
+        keep = ~(spans_zero[i] & spans_zero[j]) & (squares[i] + squares[j] <= R * R)
+        cells.extend(zip(centres[i[keep]].tolist(), centres[j[keep]].tolist()))
     return cells
 
 

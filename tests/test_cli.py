@@ -314,6 +314,15 @@ def test_level_curves_whose_g_text_agrees_are_distinct_paths(capsys):
     assert [p["label"] for p in json.loads(out)["paths"]] == ["level curve a=1", "level curve a=1.000001"]
 
 
+def test_limit_accepts_a_steep_line(capsys):
+    code = run(["limit", "--f", "x*y/(x+y)", "--trajectory", "t,10000*t", "--trajectory", "t,t"])
+    out, err = out_of(capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["verdict"] == "ConsistentValue"
+    assert [(p["label"], p["status"]) for p in data["paths"]] == [("x=t, y=10000*t", "Converged"), ("x=t, y=t", "Converged")]
+
+
 def test_limit_strict_inconclusive_exits_3(capsys):
     code = run(["limit", "--f", "x*y/(x+y)", "--strict"])
     assert code == 3

@@ -11,10 +11,11 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illposed import limits
@@ -133,6 +134,31 @@ def test_default_set_composition():
 def test_trajectory_must_approach_the_origin():
     with pytest.raises(ValueError, match="approach the origin"):
         trajectory_from_text("t+1", "t")
+
+
+@pytest.mark.parametrize("slope", [1e4, -1e6, 1e12])
+def test_steep_lines_approach_the_origin_on_their_own_scale(monkeypatch, slope):
+    norms = []
+    real_norm = Trajectory2D._norm
+
+    def counting_norm(self, t):
+        norms.append(t)
+        return real_norm(self, t)
+
+    monkeypatch.setattr(Trajectory2D, "_norm", counting_norm)
+    tl = limit_along(parse(SADDLE), line_trajectory(slope))
+    assert norms == [1e-6, 1e-1, 1e-3]
+    assert tl.status is PathStatus.CONVERGED
+
+
+@pytest.mark.parametrize(
+    ("x_text", "y_text"),
+    [("t+0.5", "t"), ("t", "1e4*t+0/((t-0.1)*(t-0.001))")],
+    ids=["shifted-by-half", "steep-without-a-finite-reference"],
+)
+def test_paths_that_stall_or_have_no_scale_are_refused(x_text, y_text):
+    with pytest.raises(ValueError, match="approach the origin"):
+        trajectory_from_text(x_text, y_text)
 
 
 def test_trajectory_must_be_evaluable_near_zero():
@@ -457,6 +483,45 @@ def test_implicit_row_blocks_match_the_whole_grid(monkeypatch, rows, grid_n, tex
         assert {cx for cx, _ in cells} == {0.5 * (xs[83] + xs[84]), 0.5 * (xs[84] + xs[85])}
 
 
+@st.composite
+def _hostile_fields(draw):
+    grid_n = draw(st.integers(100, 300))
+    R = draw(st.floats(0.25, 2.0))
+    u = draw(st.floats(0.0, 1.0))
+    lattice = float(np.linspace(-R, R, grid_n)[draw(st.integers(0, grid_n - 1))])
+    text = draw(st.sampled_from([
+        f"sqrt(1-x^2-y^2)-{0.2 + 0.6 * u!r}",  # nan outside the unit disk
+        f"ln(x+{u!r})",  # nan left of x = -u
+        "1/x-y", "1/(x*y)",  # inf on the axes when grid_n is odd
+        "x*y", f"x-({lattice!r})",  # exact zeros on lattice lines
+        "-(x*y)", "x*0-y",  # zeros of either sign
+        "x^2+1e-15", "x^2+2e-14",  # just inside and outside the near-zero bound
+    ]))
+    return text, R, grid_n
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hostile_fields(), st.sampled_from([1, 7]))
+def test_implicit_scan_matches_the_whole_grid_on_hostile_fields(field, rows):
+    text, R, grid_n = field
+    F = parse(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "_SCAN_CHUNK", rows * grid_n)
+        cells = implicit_zero_scan(F, R, grid_n)
+    assert cells == _meshgrid_scan(F, R, grid_n)
+
+
+def test_implicit_scan_memory_stays_per_block():
+    # one whole-grid float64 array at grid 4000 would be 128 MB
+    tracemalloc.start()
+    try:
+        cells = implicit_zero_scan(parse("sqrt(1-x^2-y^2)-0.5"), 1.2, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells and peak < 16 * 2**20
+
+
 def _whole_circle_scan(f, radii, n_angles, cap):
     """The polar scan with every angle of a circle in one array, as an oracle for the chunks."""
     fn = compile_array(f, ("x", "y"))
@@ -550,14 +615,16 @@ def test_a_one_chunk_scan_starts_no_thread(monkeypatch):
 
 
 def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
-    idents = set()
+    # thread objects, not idents: an ident may be reused once a share's
+    # thread has exited, while the set keeps each thread object alive
+    threads = set()
     real_compile = limits.compile_array
 
     def recording_compile(*args):
         fn = real_compile(*args)
 
         def wrapper(x, y):
-            idents.add(threading.get_ident())
+            threads.add(threading.current_thread())
             return fn(x, y)
 
         return wrapper
@@ -566,7 +633,7 @@ def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
     monkeypatch.setattr(limits, "_WORKERS", 3)
     angular_bound_scan(parse(CUBIC), (0.1,), 9000)
-    assert len(idents) == 3 and threading.get_ident() in idents
+    assert len(threads) == 3 and threading.main_thread() in threads
 
 
 # --- scan verdicts against scalar libm re-evaluation -------------------------------
