@@ -111,27 +111,25 @@ class Trajectory2D:
 
     def __post_init__(self):
         _check.variables("path", ("t",), self.x_of_t, self.y_of_t)
+        # the tail is probed at the finest t that limit_along samples: the
+        # path must reach within 1e-2 of the origin there, whatever its
+        # slope.  A bound scaled by the path's own norms cannot tell
+        # y = c*t from y = c*t + 0.5 once c*t dwarfs the offset
         try:
-            tail = self._norm(1e-6)
+            tail = self._norm(DEFAULT_SCHEDULE[-1])
         except EvalError as err:
             raise ValueError(f"path {self.label!r} is not evaluable near t=0: {err}") from None
         references = []
         for probe in (1e-1, 1e-3):
             try:
-                norm = self._norm(probe)
+                references.append(self._norm(probe))
             except EvalError:
                 # a pole away from the origin (level curves with small a
                 # have one at t = a) does not disqualify the path
                 continue
-            if math.isfinite(norm):
-                references.append(norm)
         # shrinking alone is not enough; a path like x = t+1 shrinks
-        # toward norm 1 without ever nearing the origin.  So the tail must
-        # also fall below 1e-2 of the path's scale: its largest finite
-        # reference norm, or 1 if that is smaller.  Steep lines such as
-        # y = 1e12*t pass; with no finite reference the bound is 1e-2
-        scale = max([1.0, *references])
-        if tail >= 1e-2 * scale or any(tail >= reference for reference in references):
+        # toward norm 1 without ever nearing the origin
+        if tail >= 1e-2 or any(tail >= reference for reference in references):
             raise ValueError(f"path {self.label!r} does not approach the origin as t shrinks")
 
     def _norm(self, t: float) -> float:

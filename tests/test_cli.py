@@ -323,6 +323,15 @@ def test_limit_accepts_a_steep_line(capsys):
     assert [(p["label"], p["status"]) for p in data["paths"]] == [("x=t, y=10000*t", "Converged"), ("x=t, y=t", "Converged")]
 
 
+def test_limit_refuses_a_steep_line_that_misses_the_origin(capsys):
+    # x = 1000*t + 0.5 ends at (0.5, 0): its limit of (2x-1)^2 is 0, not
+    # the value 1 at the origin, so accepting it would report DoesNotExist
+    code = run(["limit", "--f", "(2*x-1)^2", "--trajectory", "1000*t+0.5,t", "--trajectory", "t,t"])
+    out, err = out_of(capsys)
+    assert (code, out) == (1, "")
+    assert "does not approach the origin" in err
+
+
 def test_limit_strict_inconclusive_exits_3(capsys):
     code = run(["limit", "--f", "x*y/(x+y)", "--strict"])
     assert code == 3

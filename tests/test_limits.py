@@ -136,8 +136,8 @@ def test_trajectory_must_approach_the_origin():
         trajectory_from_text("t+1", "t")
 
 
-@pytest.mark.parametrize("slope", [1e4, -1e6, 1e12])
-def test_steep_lines_approach_the_origin_on_their_own_scale(monkeypatch, slope):
+@pytest.mark.parametrize("slope", [1e4, -1e6, 1.9e6])
+def test_steep_lines_reach_the_origin_at_the_finest_t(monkeypatch, slope):
     norms = []
     real_norm = Trajectory2D._norm
 
@@ -147,16 +147,24 @@ def test_steep_lines_approach_the_origin_on_their_own_scale(monkeypatch, slope):
 
     monkeypatch.setattr(Trajectory2D, "_norm", counting_norm)
     tl = limit_along(parse(SADDLE), line_trajectory(slope))
-    assert norms == [1e-6, 1e-1, 1e-3]
+    assert norms == [limits.DEFAULT_SCHEDULE[-1], 1e-1, 1e-3]
     assert tl.status is PathStatus.CONVERGED
 
 
 @pytest.mark.parametrize(
     ("x_text", "y_text"),
-    [("t+0.5", "t"), ("t", "1e4*t+0/((t-0.1)*(t-0.001))")],
-    ids=["shifted-by-half", "steep-without-a-finite-reference"],
+    [
+        ("t+0.5", "t"),
+        ("1000*t+0.5", "t"),
+        ("1e6*t+0.5", "t"),
+        ("1e12*t+0.5", "t"),
+        ("t", "1e12*t"),
+        ("t", "1e7*t+0/((t-0.1)*(t-0.001))"),
+    ],
+    ids=["shifted-by-half", "steep-and-shifted", "steeper-and-shifted", "steepest-and-shifted", "too-steep-to-reach", "no-finite-reference"],
 )
-def test_paths_that_stall_or_have_no_scale_are_refused(x_text, y_text):
+def test_paths_that_stay_away_from_the_origin_are_refused(x_text, y_text):
+    # at every sampled t these paths are at least 1e-2 from the origin
     with pytest.raises(ValueError, match="approach the origin"):
         trajectory_from_text(x_text, y_text)
 
