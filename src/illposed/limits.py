@@ -79,12 +79,18 @@ DIVERGENCE_CAP = 1e12
 AGREEMENT_TOL = 1e-4
 ANGULAR_CAP = 1e6
 
-# Points per scan chunk (polar angles) or row block (implicit lattice).
-# 16,384 doubles make 128 KB temporaries.  Measured against 65,536 on a
-# 2-vCPU host: the implicit scan runs as fast, and threaded polar shares
-# no longer leave freed 512 KB chunks in a second malloc arena, which
+# Angles per polar scan chunk.  16,384 doubles make 128 KB temporaries.
+# Measured against 65,536 on a 2-vCPU host: threaded polar shares no
+# longer leave freed 512 KB chunks in a second malloc arena, which
 # raised the dense-scan benchmark's peak RSS by 9-16%.
 _SCAN_CHUNK = 16_384
+# Lattice points per implicit-scan row block.  On a 2-vCPU Xeon host
+# (2 MiB L2 per core) the five dense-scan benchmark fields took 59.7,
+# 48.9, 47.2 and 61.1 ms in all (best of 40) at 16,384, 32,768, 49,152
+# and 65,536 points; 65,536 lost at grids 800 and 2000, and 49,152 beat
+# 32,768 on the benchmark's median operation for 10 of 10 seeds, though
+# at grid 2000 it takes 4,203 minor faults per scan against 186.
+_ROW_BLOCK = 49_152
 # The polar scan spreads its chunks over the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -419,11 +425,14 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     """Cells of a square lattice on [-R, R]^2 where F(x, y) = 0 shows up.
 
     A cell is flagged when its four corners are finite and either
-    straddle a sign change or include a corner with |F| < 1e-14.  Each
-    row block is decided on boolean masks: finite, > 0, < 0 and
-    |F| < 1e-14 at every lattice point, combined over the four corners
-    of each cell.  The flagged cells alone then go through the two
-    exclusions: cells containing the origin (the origin solves the
+    straddle a sign change or include a corner with |F| < 1e-14.  For
+    finite corners that is the same as: some corner > -1e-14 and some
+    corner < 1e-14 (a corner meeting both is near zero; otherwise one
+    is >= 1e-14 and another <= -1e-14), and nan fails both.  So each
+    row block makes just those two boolean masks, combined over the
+    four corners of each cell.  The candidate cells alone are then
+    checked for four finite corners and go through the two exclusions:
+    cells containing the origin (the origin solves the
     classroom equations trivially; the question is what else does), and
     cells whose centre falls outside the disk of radius R.  Returned
     cell centres are sorted by x then y.
@@ -445,25 +454,22 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     fn = compile_array(F, ("x", "y"))
     cells: list[tuple[float, float]] = []
 
-    def all_corners(points):
-        rows = points[:-1] & points[1:]
-        return rows[:, :-1] & rows[:, 1:]
-
     def any_corner(points):
         rows = points[:-1] | points[1:]
         return rows[:, :-1] | rows[:, 1:]
 
-    # row blocks of about _SCAN_CHUNK points, overlapping by one row;
+    # row blocks of about _ROW_BLOCK points, overlapping by one row;
     # F sees an (n, 1) column against a (1, N) row, so x-only terms cost O(n)
-    block = max(1, _SCAN_CHUNK // grid_n)
+    block = max(1, _ROW_BLOCK // grid_n)
     for i0 in range(0, grid_n - 1, block):
         i1 = min(i0 + block, grid_n - 1)
         values = fn(xs[i0 : i1 + 1].reshape(-1, 1), xs.reshape(1, -1))
-        sign_change = any_corner(values > 0.0) & any_corner(values < 0.0)
-        flagged = all_corners(np.isfinite(values)) & (sign_change | any_corner(np.abs(values) < 1e-14))
-        # few cells are flagged, so the origin and disk tests run on those alone
-        i, j = np.divmod(np.flatnonzero(flagged), grid_n - 1)
-        i += i0
+        # on finite corners: a sign change or a corner with |F| < 1e-14
+        candidate = any_corner(values > -1e-14) & any_corner(values < 1e-14)
+        # few cells are candidates, so the finiteness, origin and disk tests run on those alone
+        i, j = np.divmod(np.flatnonzero(candidate), grid_n - 1)
+        finite = np.isfinite(values[[i, i + 1, i, i + 1], [j, j, j + 1, j + 1]]).all(axis=0)
+        i, j = i[finite] + i0, j[finite]
         keep = ~(spans_zero[i] & spans_zero[j]) & (squares[i] + squares[j] <= R * R)
         cells.extend(zip(centres[i[keep]].tolist(), centres[j[keep]].tolist()))
     return cells

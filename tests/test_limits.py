@@ -483,7 +483,7 @@ def _boundary_line(grid_n):
 )
 def test_implicit_row_blocks_match_the_whole_grid(monkeypatch, rows, grid_n, text, R):
     F = parse(text or _boundary_line(grid_n))
-    monkeypatch.setattr(limits, "_SCAN_CHUNK", rows * grid_n)
+    monkeypatch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
     cells = implicit_zero_scan(F, R, grid_n)
     assert cells == _meshgrid_scan(F, R, grid_n)
     if text is None:  # both blocks flag the cells on their side of the line
@@ -514,9 +514,94 @@ def test_implicit_scan_matches_the_whole_grid_on_hostile_fields(field, rows):
     text, R, grid_n = field
     F = parse(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(limits, "_SCAN_CHUNK", rows * grid_n)
+        patch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
         cells = implicit_zero_scan(F, R, grid_n)
     assert cells == _meshgrid_scan(F, R, grid_n)
+
+
+# corner values at the kernel's edges: the 1e-14 thresholds and their
+# neighbours, signed zeros, subnormals, and the non-finite values
+_EDGE_VALUES = (
+    1e-14, -1e-14, math.nextafter(1e-14, 0.0), math.nextafter(-1e-14, 0.0), 2e-14, -2e-14,
+    0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan,
+)
+
+
+def _lattice_compile(table, R):
+    """A compile_array stand-in whose F reads each lattice point from table."""
+    xs = np.linspace(-R, R, len(table))
+
+    def compile_lattice(*args):
+        return lambda x, y: table[np.searchsorted(xs, x), np.searchsorted(xs, y)]
+
+    return compile_lattice
+
+
+def _corner_kinds(table, R):
+    """Which edge cases occur among the cells that the origin and disk tests keep."""
+    grid_n = len(table)
+    xs = np.linspace(-R, R, grid_n)
+    centres = 0.5 * (xs[:-1] + xs[1:])
+    kinds = set()
+    for i in range(grid_n - 1):
+        for j in range(grid_n - 1):
+            if (xs[i] <= 0.0 <= xs[i + 1] and xs[j] <= 0.0 <= xs[j + 1]) or centres[i] ** 2 + centres[j] ** 2 > R * R:
+                continue
+            c = [table[i, j], table[i + 1, j], table[i, j + 1], table[i + 1, j + 1]]
+            finite = [v for v in c if math.isfinite(v)]
+            both_signs = min(finite, default=0.0) < 0.0 < max(finite, default=0.0)
+            if len(finite) == 4 and max(c) == -1e-14:
+                kinds.add("all <= -1e-14, one exactly")
+            if len(finite) == 4 and min(c) == 1e-14:
+                kinds.add("all >= 1e-14, one exactly")
+            if any(math.isinf(v) for v in c) and both_signs:
+                kinds.add("inf beside both signs")
+            if any(math.isnan(v) for v in c) and both_signs:
+                kinds.add("nan beside a sign change")
+            if len(finite) == 4 and 5e-324 in c and min(c) > -1e-14:
+                kinds.add("finite with a subnormal")
+    return kinds
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_implicit_kernel_matches_the_whole_grid_on_edge_corners(monkeypatch, rows):
+    grid_n, R = 101, 1.0
+    rng = random.Random(15)
+    table = np.array([[rng.choice(_EDGE_VALUES) for _ in range(grid_n)] for _ in range(grid_n)])
+    assert len(_corner_kinds(table, R)) == 5
+    compile_lattice = _lattice_compile(table, R)
+    monkeypatch.setattr(limits, "compile_array", compile_lattice)
+    monkeypatch.setitem(_meshgrid_scan.__globals__, "compile_array", compile_lattice)
+    if rows is not None:
+        monkeypatch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+    F = parse("x+y")  # never evaluated: both scans read the table
+    cells = implicit_zero_scan(F, R, grid_n)
+    assert cells and cells == _meshgrid_scan(F, R, grid_n)
+
+
+@pytest.mark.parametrize("grid_n", [4000, 151])
+def test_implicit_row_blocks_stay_within_the_bound(monkeypatch, grid_n):
+    # the memory bound without tracemalloc: each F call sees one block of rows
+    blocks = []
+    real_compile = limits.compile_array
+
+    def recording_compile(*args):
+        fn = real_compile(*args)
+
+        def wrapper(x, y):
+            assert np.shape(x) == (len(x), 1) and np.shape(y) == (1, grid_n)
+            blocks.append(np.ravel(x).tolist())
+            return fn(x, y)
+
+        return wrapper
+
+    monkeypatch.setattr(limits, "compile_array", recording_compile)
+    implicit_zero_scan(parse("x^2+y^2-0.25"), 1.0, grid_n)
+    assert (len(blocks) > 1) == (grid_n == 4000)
+    assert all(len(rows) <= limits._ROW_BLOCK // grid_n + 1 for rows in blocks)
+    # consecutive blocks share exactly one row, and together they cover every row once
+    assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    assert blocks[0] + [x for rows in blocks[1:] for x in rows[1:]] == np.linspace(-1.0, 1.0, grid_n).tolist()
 
 
 def test_implicit_scan_memory_stays_per_block():
