@@ -314,6 +314,8 @@ def _cmd_recurrence(args) -> str:
 
 
 def _cmd_limit(args) -> str:
+    if args.round is not None and args.format != "csv":
+        raise UsageError("limit supports --round only with --format csv")
     f = parse(args.f)
     trajectories = []
     explicit = bool(args.trajectory) or bool(args.level_curve)

@@ -366,7 +366,10 @@ def angular_bound_scan(
             cos, sin = np.cos(angles), np.sin(angles)
             for k, r in enumerate(rs):
                 if worst[k] < math.inf:
-                    chunk_worst = float(np.max(np.abs(fn(r * cos, r * sin))))
+                    # kept alive until the next chunk's values exist: freed at the heap
+                    # top, glibc trims the temporaries and the next chunk faults them in again
+                    values = fn(r * cos, r * sin)
+                    chunk_worst = float(np.max(np.abs(values)))
                     # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
                     worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
         return worst

@@ -345,6 +345,17 @@ def test_limit_csv_format(capsys):
     assert "t,x,y,f" in out
 
 
+def test_limit_refuses_round_with_json(tmp_path, capsys):
+    argv = ["limit", "--f", "x*y/(x+y)", "--trajectory", "t,t", "--level-curve", "1"]
+    assert run(argv + ["--round", "3"]) == 1
+    assert out_of(capsys) == ("", "usage error: limit supports --round only with --format csv\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("round=3\n")
+    assert run(argv + ["--config", str(cfg)]) == 1
+    assert out_of(capsys)[0] == ""
+    assert run(argv + ["--round", "3", "--format", "csv"]) == 0
+
+
 def test_polar_scan_csv(capsys):
     code = run(["polar-scan", "--f", "(x^3+y^3)/(x^2+y^2)"])
     assert code == 0
