@@ -599,6 +599,13 @@ def compile_scalar(expr: Expression, params: Sequence[str] = ("x", "y")) -> Call
     return compiled
 
 
+def _small_power(expr: Binary) -> int | None:
+    # small integer literal exponents multiply; decided from the tree, never per element
+    if isinstance(expr.right, Literal) and expr.right.value in (2.0, 3.0, 4.0):
+        return int(expr.right.value)
+    return None
+
+
 def _array_code(expr: Expression) -> str:
     if isinstance(expr, Literal):
         # a numpy scalar, so literal-only subtrees such as 1/0 also run under errstate
@@ -609,14 +616,133 @@ def _array_code(expr: Expression) -> str:
         return f"(- {_array_code(expr.operand)})"
     if isinstance(expr, Binary):
         if expr.op == "^":
-            # small integer literal exponents multiply; decided from the tree, never per element
-            if isinstance(expr.right, Literal) and expr.right.value in (2.0, 3.0, 4.0):
-                return f"POW{expr.right.value:.0f}({_array_code(expr.left)})"
+            power = _small_power(expr)
+            if power:
+                return f"POW{power}({_array_code(expr.left)})"
             return f"POW({_array_code(expr.left)}, {_array_code(expr.right)})"
         return f"({_array_code(expr.left)} {expr.op} {_array_code(expr.right)})"
     if isinstance(expr, Call):
         return f"F{expr.func}({_array_code(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+# sin, cos, exp, ln and sqrt enclosures are widened at both ends by this
+# relative amount plus 2^-1022: numpy builds and C libraries round them a
+# few ulps (about 1e-16 relative) apart, and subnormal results a few
+# subnormal steps apart.
+_SLACK = 1e-12
+_TINY = 2.0**-1022
+
+
+class _Unbounded(Exception):
+    """A node the interval walk does not bound: tan, or a general power."""
+
+
+def _array_bounds(
+    expr: Expression, boxes: Mapping[str, tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Enclosures [lo, hi] of every value compile_array's lane gives on the boxes.
+
+    `boxes` maps each variable to numpy arrays of lower and upper ends,
+    which broadcast together.  The walk repeats the lane's operations on
+    the ends, in its order: + - * / left to right, ^2, ^3 and ^4 by
+    multiplication.  IEEE round-to-nearest is monotone, so ends computed
+    in floats enclose the float result at every point inside the boxes.
+    sin and cos of a box wider than pi, or with an end beyond 2^20 in
+    magnitude, are [-1, 1].  An element is (-inf, inf) where no finite
+    enclosure is proven: an end at some node is not finite, a divisor
+    box holds 0, or an ln or sqrt box reaches past its domain.  A tree
+    with tan or a general ^ (np.power) gives None.
+    """
+    import numpy as np
+
+    unknown = np.False_
+
+    def node(lo, hi, leaves_domain=np.False_):
+        nonlocal unknown
+        unknown = unknown | leaves_domain | ~(np.isfinite(lo) & np.isfinite(hi))
+        return lo, hi
+
+    def widen(lo, hi):
+        return node(lo - (np.abs(lo) * _SLACK + _TINY), hi + (np.abs(hi) * _SLACK + _TINY))
+
+    def corners(op, a, b, leaves_domain=np.False_):
+        ends = [op(p, q) for p in a for q in b]
+        return node(np.minimum(np.minimum(*ends[:2]), np.minimum(*ends[2:])),
+                    np.maximum(np.maximum(*ends[:2]), np.maximum(*ends[2:])), leaves_domain)
+
+    def even(lo, hi, fn):
+        # an even function increasing in |t|: zero is its least value
+        a, b = fn(lo), fn(hi)
+        return node(np.where((lo > 0) | (hi < 0), np.minimum(a, b), 0.0), np.maximum(a, b))
+
+    def trig(fn, lo, hi, shift):
+        # the extremes lie where q = t/pi - shift is an integer m, valued (-1)^m;
+        # a box no wider than pi holds at most the first two at or after lo
+        qlo, qhi = lo / np.pi - shift - 1e-6, hi / np.pi - shift + 1e-6
+        m = np.ceil(qlo)
+        odd = m % 2 == 1
+        holds, holds_next = m <= qhi, m + 1 <= qhi
+        a, b = fn(lo), fn(hi)
+        low = np.where(holds & odd | holds_next & ~odd, -1.0, np.minimum(a, b))
+        high = np.where(holds & ~odd | holds_next & odd, 1.0, np.maximum(a, b))
+        whole = ~((hi - lo <= np.pi) & (np.maximum(np.abs(lo), np.abs(hi)) <= 2.0**20))
+        return widen(np.where(whole, -1.0, low), np.where(whole, 1.0, high))
+
+    def walk(expr: Expression):
+        if isinstance(expr, Literal):
+            value = np.float64(expr.value)
+            return node(value, value)
+        if isinstance(expr, Variable):
+            lo, hi = boxes[expr.name]
+            return node(lo, hi)
+        if isinstance(expr, Unary):
+            lo, hi = walk(expr.operand)
+            return -hi, -lo
+        if isinstance(expr, Binary):
+            if expr.op == "^":
+                power = _small_power(expr)
+                if not power:
+                    raise _Unbounded
+                lo, hi = walk(expr.left)
+                if power == 3:
+                    # a*a*a is odd and increasing under round-to-nearest
+                    return node(lo * lo * lo, hi * hi * hi)
+                lo, hi = even(lo, hi, np.square)
+                return even(lo, hi, np.square) if power == 4 else (lo, hi)
+            a, b = walk(expr.left), walk(expr.right)
+            if expr.op == "+":
+                return node(a[0] + b[0], a[1] + b[1])
+            if expr.op == "-":
+                return node(a[0] - b[1], a[1] - b[0])
+            if expr.op == "*":
+                return corners(np.multiply, a, b)
+            return corners(np.divide, a, b, (b[0] <= 0) & (b[1] >= 0))
+        if isinstance(expr, Call):
+            lo, hi = walk(expr.arg)
+            if expr.func == "abs":
+                return even(lo, hi, np.abs)
+            if expr.func in ("cos", "sin"):
+                return trig(np.cos if expr.func == "cos" else np.sin, lo, hi, 0.0 if expr.func == "cos" else 0.5)
+            if expr.func == "exp":
+                return widen(np.exp(lo), np.exp(hi))
+            # past their domain log and sqrt give -inf or nan, which node() flags
+            if expr.func == "ln":
+                return widen(np.log(lo), np.log(hi))
+            if expr.func == "sqrt":
+                return widen(np.sqrt(lo), np.sqrt(hi))
+            raise _Unbounded
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    with np.errstate(all="ignore"):
+        try:
+            lo, hi = walk(expr)
+        except _Unbounded:
+            return None
+    # shaped like the boxes, as compile_array's result is shaped like its arguments
+    shape = np.broadcast_shapes(*(np.shape(end) for box in boxes.values() for end in box))
+    return (np.broadcast_to(np.where(unknown, -np.inf, lo), shape),
+            np.broadcast_to(np.where(unknown, np.inf, hi), shape))
 
 
 def compile_array(expr: Expression, params: Sequence[str] = ("x", "y")) -> Callable[..., np.ndarray]:

@@ -33,6 +33,7 @@ from .expr import (
     Literal,
     Unary,
     Variable,
+    _array_bounds,
     compile_array,
     evaluate,
     parse,
@@ -91,6 +92,12 @@ _SCAN_CHUNK = 16_384
 # 32,768 on the benchmark's median operation for 10 of 10 seeds, though
 # at grid 2000 it takes 4,203 minor faults per scan against 186.
 _ROW_BLOCK = 49_152
+# Chunks whose |f| bounds a polar share works out at a time, so the bound
+# arrays hold len(radii) x 1024 entries whatever the angle count.
+_BOUND_BLOCK = 1024
+# x = r*cos(t) and y = r*sin(t), the products the polar scan evaluates f on
+_POLAR_X = Binary("*", Variable("r"), Call("cos", Variable("t")))
+_POLAR_Y = Binary("*", Variable("r"), Call("sin", Variable("t")))
 # The polar scan spreads its chunks over the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -236,10 +243,11 @@ def default_trajectories() -> list[Trajectory2D]:
 def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
     """Sample f along the path at each t of DEFAULT_SCHEDULE and judge the tail.
 
-    Converged needs the last two successive differences below 1e-6;
-    |f| past 1e12 at the finest t is Diverged; anything else (including
-    paths that dodge the domain of f) is Inconclusive.  Samples where f
-    or the path is undefined are skipped and noted, not fatal.
+    Converged needs the last two successive differences below 1e-6 and
+    no drift from t = 1e-4 to 1e-8 (see _drift); |f| past 1e12 at the
+    finest t is Diverged; anything else (including paths that dodge the
+    domain of f) is Inconclusive.  Samples where f or the path is
+    undefined are skipped and noted, not fatal.
     """
     _check.variables("f", ("x", "y"), f)
     samples: list[LimitSample] = []
@@ -270,12 +278,37 @@ def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
         status, value = PathStatus.DIVERGED, None
     else:
         diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-        if diffs[-1] < CAUCHY_TOL and diffs[-2] < CAUCHY_TOL:
-            status, value = PathStatus.CONVERGED, values[-1]
-        else:
+        if not (diffs[-1] < CAUCHY_TOL and diffs[-2] < CAUCHY_TOL):
             notes.append("samples are not Cauchy at the finest scales")
             status, value = PathStatus.INCONCLUSIVE, None
+        elif (drift := _drift([sample.f for sample in samples[3:8]])) is not None:  # t = 1e-4 ... 1e-8
+            notes.append(f"f drifts by about {drift:.3g} per decade of t from 1e-4 to 1e-8")
+            status, value = PathStatus.INCONCLUSIVE, None
+        else:
+            status, value = PathStatus.CONVERGED, values[-1]
     return TrajectoryLimit(trajectory.label, status, value, tuple(samples), tuple(notes))
+
+
+def _drift(decades: list[float | None]) -> float | None:
+    """The mean step between successive values of f, one decade of t apart, when they drift.
+
+    They drift when every step is nonzero and of one sign and the
+    smallest is at least half the largest; a missing value rules it out.
+    |x|^1e-7 drifts by about -2.3e-7 per decade, small enough to pass the
+    Cauchy test while f creeps toward its limit 0.  A convergent tail
+    shrinks its steps by a factor per decade, and a constant one has none.
+    """
+    if None in decades:
+        return None
+    steps = [b - a for a, b in zip(decades, decades[1:])]
+    low, high = min(steps), max(steps)
+    if low > 0:
+        smallest, largest = low, high
+    elif high < 0:
+        smallest, largest = -high, -low
+    else:
+        return None
+    return sum(steps) / len(steps) if smallest >= 0.5 * largest else None
 
 
 def compare_trajectories(f: Expression, trajectories: Sequence[Trajectory2D]) -> LimitReport:
@@ -346,6 +379,12 @@ def angular_bound_scan(
 
     Chunks of angles are spread in contiguous shares over the CPUs the
     process may run on; a scan of one chunk runs in the calling thread.
+    Each share bounds |f| over blocks of its chunks by interval
+    arithmetic on the numpy lane (expr._array_bounds), visits each
+    block's chunks by descending bound, and skips a chunk at a radius
+    when its bound is strictly below the share's running maximum there.
+    A skipped chunk cannot hold the maximum, so the rows are byte for
+    byte those of a scan that evaluates f at every angle.
     """
     _check.variables("f", ("x", "y"), f)
     rs = _check.decreasing("radii", radii)
@@ -355,20 +394,47 @@ def angular_bound_scan(
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
+    starts = range(0, n_angles, _SCAN_CHUNK)
+    r_column = np.array(rs).reshape(-1, 1)
 
-    def scan(starts: range, stop: threading.Event) -> list[float]:
+    def bounds(block: range) -> np.ndarray:
+        """An upper bound on |f| for each radius and chunk of the block; inf where none is proven."""
+        # the first chunk is evaluated whatever its bound, so a one-chunk scan needs none
+        if len(starts) > 1:
+            first = np.asarray(block, dtype=float)
+            last = np.minimum(first + _SCAN_CHUNK, n_angles) - 1.0
+            # the chunk's first and last angles, computed as the chunk computes them
+            polar = {"r": (r_column, r_column), "t": ((first + 0.5) * cell, (last + 0.5) * cell)}
+            box = _array_bounds(f, {"x": _array_bounds(_POLAR_X, polar), "y": _array_bounds(_POLAR_Y, polar)})
+            if box is not None:
+                return np.maximum(np.abs(box[0]), np.abs(box[1]))
+        return np.full((len(rs), len(block)), math.inf)
+
+    def scan(share: range, stop: threading.Event) -> list[float]:
         worst = [0.0] * len(rs)
-        for start in starts:
+        for i in range(0, len(share), _BOUND_BLOCK):
             if stop.is_set():
-                break
-            # one cos/sin per angle chunk, shared by every radius
-            angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
-            cos, sin = np.cos(angles), np.sin(angles)
-            for k, r in enumerate(rs):
-                if worst[k] < math.inf:
+                return worst
+            block = share[i : i + _BOUND_BLOCK]
+            bound = bounds(block)
+            order = np.argsort(-bound.max(axis=0), kind="stable")
+            # the running maxima only grow, so a chunk below them all now stays below them
+            ceiling = np.array(worst).reshape(-1, 1)
+            live = ((bound >= ceiling) & (ceiling < math.inf)).any(axis=0)
+            for c in order[live[order]].tolist():
+                need = [k for k, m in enumerate(worst) if m < math.inf and bound[k, c] >= m]
+                if not need:
+                    continue
+                if stop.is_set():
+                    return worst
+                # one cos/sin per angle chunk, shared by every radius
+                start = block[c]
+                angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
+                cos, sin = np.cos(angles), np.sin(angles)
+                for k in need:
                     # kept alive until the next chunk's values exist: freed at the heap
                     # top, glibc trims the temporaries and the next chunk faults them in again
-                    values = fn(r * cos, r * sin)
+                    values = fn(rs[k] * cos, rs[k] * sin)
                     chunk_worst = float(np.max(np.abs(values)))
                     # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
                     worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
@@ -376,7 +442,6 @@ def angular_bound_scan(
 
     # contiguous shares of the chunk starts; max is exact in any order,
     # so the rows do not depend on how many shares there are
-    starts = range(0, n_angles, _SCAN_CHUNK)
     n = min(_WORKERS, len(starts))
     shares = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
     worst = [max(column) for column in zip(*_run_shares(scan, shares))]

@@ -5,9 +5,11 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trees import trees
 
 from illposed.expr import (
     Binary,
@@ -20,6 +22,7 @@ from illposed.expr import (
     Unary,
     UnboundVariableError,
     Variable,
+    _array_bounds,
     compile_array,
     compile_scalar,
     evaluate,
@@ -419,3 +422,62 @@ def test_compiled_array_runs_literal_subtrees_under_errstate():
     xs = np.array([1.0, -2.0])
     assert (compile_array(parse("x+1/0"), ("x",))(xs) == math.inf).all()
     assert np.isnan(compile_array(parse("x^2+0/0"), ("x",))(xs)).all()
+
+
+# --- interval bounds of the array lane ---------------------------------------------
+
+_ENDS = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e-300, -745.0, 700.0, 1e200, -1e200])
+)
+_WIDTHS = st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 10.0))
+_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
+@given(
+    trees(),
+    st.lists(st.tuples(_ENDS, _WIDTHS, _ENDS, _WIDTHS), min_size=1, max_size=8),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=2),
+)
+@settings(max_examples=400, deadline=None)
+def test_array_bounds_enclose_every_lane_value_inside_the_boxes(tree, boxes, fractions):
+    x_lo, x_width, y_lo, y_width = (np.array(column) for column in zip(*boxes))
+    x_hi, y_hi = x_lo + x_width, y_lo + y_width
+    fn = compile_array(tree, ("x", "y"))
+    bounds = _array_bounds(tree, {"x": (x_lo, x_hi), "y": (y_lo, y_hi)})
+    if bounds is None:
+        assert "Ftan(" in fn.source or "POW(" in fn.source
+        return
+    lo, hi = bounds
+    proven = np.isfinite(lo)
+    assert (np.isfinite(hi) == proven).all() and (lo <= hi)[proven].all()
+    for u, v in _CORNERS + fractions:
+        values = fn(np.clip(x_lo + u * x_width, x_lo, x_hi), np.clip(y_lo + v * y_width, y_lo, y_hi))
+        assert np.isfinite(values[proven]).all()
+        assert ((lo <= values) & (values <= hi))[proven].all(), (u, v)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "ln", "sqrt"])
+def test_array_bounds_leave_room_for_another_librarys_rounding(name):
+    # numpy builds and C libraries round these a few ulps apart, so an
+    # enclosure of this build's values alone could miss another's
+    t = np.random.default_rng(7).uniform(0.01, 3.0, 500)
+    lo, hi = _array_bounds(Call(name, Variable("x")), {"x": (t, t)})
+    value = getattr(np, "log" if name == "ln" else name)(t)
+    room = 4 * np.spacing(value)
+    assert (lo <= value - room).all() and (value + room <= hi).all()
+
+
+def test_array_bounds_refuse_what_they_cannot_enclose():
+    box = {"x": (np.array([-1.0, 0.5, 0.5]), np.array([1.0, 0.6, 2.0**21]))}
+    assert _array_bounds(parse("tan(x)"), box) is None
+    assert _array_bounds(parse("x^x"), box) is None  # a general power is np.power
+    lo, hi = _array_bounds(parse("1/x+ln(x)"), box)
+    # a divisor holding 0 and an ln box reaching 0
+    assert lo[0] == -math.inf and hi[0] == math.inf
+    assert np.isfinite(lo[1:]).all() and np.isfinite(hi[1:]).all()
+    # wider than pi, or with an end beyond 2^20: the whole of [-1, 1]
+    lo, hi = _array_bounds(parse("sin(4*x)"), box)
+    assert (lo[[0, 2]] <= -1.0).all() and (hi[[0, 2]] >= 1.0).all()
+    assert -1.0 < lo[1] and hi[1] < 1.0
+    # shaped like the boxes even for a tree without variables
+    assert _array_bounds(parse("2^3"), box)[0].tolist() == [8.0, 8.0, 8.0]

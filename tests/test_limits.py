@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trees import trees
 
 from illposed import limits
 from illposed.expr import EvalError, compile_array, compile_scalar, parse
@@ -219,12 +220,26 @@ def test_every_path_is_sampled_on_the_default_schedule(index):
     assert [s.t for s in report.paths[index].samples] == list(DEFAULT_SCHEDULE)
 
 
-@pytest.mark.parametrize("a", [-5.0, -2.0, -0.5, 0.5, 2.0, 5.0])
+@pytest.mark.parametrize("a", [-5.0, -3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 5.0])
 def test_level_curve_tails_pass_the_cauchy_test_at_the_schedule_end(a):
     # rounding on the level curve grows like |a|^2 * eps / t; at the 5e-9 tail it stays below CAUCHY_TOL
     tl = limit_along(parse(SADDLE), level_curve_trajectory(a))
     assert tl.status is PathStatus.CONVERGED
     assert abs(tl.value - a) < CAUCHY_TOL
+
+
+@pytest.mark.parametrize("alpha", ["0.0000001", "0.000001"])
+@pytest.mark.parametrize("base", ["abs(x)", "(x^2+y^2)"])
+def test_slow_drift_toward_the_limit_is_not_convergence(base, alpha):
+    # f -> 0 at the origin, but t^alpha moves only about alpha*ln(10) per decade of t
+    report = compare_trajectories(parse(f"{base}^{alpha}"), default_trajectories())
+    assert report.verdict is not LimitVerdict.DOES_NOT_EXIST
+    for path in report.paths:
+        assert path.status is not PathStatus.CONVERGED or abs(path.value) <= AGREEMENT_TOL
+    assert report.value is None or abs(report.value) <= AGREEMENT_TOL
+    drifting = [p for p in report.paths if any("drifts by about" in note for note in p.notes)]
+    # at 1e-6 the steps of about 2e-6 already fail the Cauchy test
+    assert bool(drifting) == (alpha == "0.0000001")
 
 
 def test_undefined_samples_are_skipped_with_notes():
@@ -666,6 +681,8 @@ class _Boom(Exception):
     [("worker", _Boom), ("main", _Boom), ("main", KeyboardInterrupt)],
 )
 def test_a_failing_share_stops_the_others_within_one_chunk(monkeypatch, failing, error):
+    # with no bounds every chunk is evaluated, so each share calls f
+    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
     calls: dict[str, int] = {"main": 0, "worker": 0}
     at_error: dict[str, int] = {}
     real_compile = limits.compile_array
@@ -711,6 +728,8 @@ def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
     # thread objects, not idents: an ident may be reused once a share's
     # thread has exited, while the set keeps each thread object alive
     threads = set()
+    # with no bounds every chunk is evaluated, so each share calls f
+    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
     real_compile = limits.compile_array
 
     def recording_compile(*args):
@@ -727,6 +746,76 @@ def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
     monkeypatch.setattr(limits, "_WORKERS", 3)
     angular_bound_scan(parse(CUBIC), (0.1,), 9000)
     assert len(threads) == 3 and threading.main_thread() in threads
+
+
+def _counting_compile(monkeypatch) -> list[int]:
+    """Count the chunks f is evaluated on, at any radius, across every scan that follows."""
+    calls = [0]
+    real_compile = limits.compile_array
+
+    def counting_compile(*args):
+        fn = real_compile(*args)
+
+        def wrapper(x, y):
+            calls[0] += 1
+            return fn(x, y)
+
+        return wrapper
+
+    monkeypatch.setattr(limits, "compile_array", counting_compile)
+    return calls
+
+
+def test_the_saddle_at_ten_million_angles_evaluates_a_handful_of_chunks(monkeypatch):
+    calls = _counting_compile(monkeypatch)
+    monkeypatch.setattr(limits, "_WORKERS", 2)
+    f = parse("1.5*x*y/(x+y)")
+    scan = angular_bound_scan(f, (1e-3,), 10_000_000)
+    assert calls[0] <= 4 and not scan.bounded
+    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
+    assert angular_bound_scan(f, (1e-3,), 10_000_000) == scan
+    assert calls[0] > 611
+
+
+def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
+    # 1 + 0*x is bounded by exactly 1 on every chunk: only a bound strictly
+    # below the running maximum lets a chunk go unevaluated
+    calls = _counting_compile(monkeypatch)
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
+    monkeypatch.setattr(limits, "_WORKERS", 1)
+    assert angular_bound_scan(parse("1+0*x"), (0.5, 0.1), 9000).rows == ((0.5, 1.0), (0.1, 1.0))
+    assert calls[0] == 2 * 9
+
+
+@given(
+    trees(),
+    st.sets(st.sampled_from([1e150, 2.0, 0.5, 1e-3, 1e-150]), min_size=1).map(lambda rs: sorted(rs, reverse=True)),
+    st.integers(361, 20_011),
+    st.sampled_from([16, 64, 500]),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([2, 1024]),
+)
+@settings(max_examples=150, deadline=None)
+def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, workers, block):
+    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "_SCAN_CHUNK", chunk)
+        patch.setattr(limits, "_WORKERS", workers)
+        patch.setattr(limits, "_BOUND_BLOCK", block)
+        scan = angular_bound_scan(f, radii, n_angles)
+    assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
+
+
+@pytest.mark.parametrize("n_angles", [200_000_000, 2_000_000_000])
+def test_polar_scan_memory_stays_per_block(n_angles):
+    # one whole-circle float64 array at 2e9 angles would be 16 GB
+    tracemalloc.start()
+    try:
+        scan = angular_bound_scan(parse("x*y"), (0.1,), n_angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.rows[0][1] == pytest.approx(0.005) and peak < 4 * 2**20
 
 
 # --- scan verdicts against scalar libm re-evaluation -------------------------------
