@@ -651,12 +651,17 @@ def _array_bounds(
     sin and cos of a box wider than pi, or with an end beyond 2^20 in
     magnitude, are [-1, 1].  An element is (-inf, inf) where no finite
     enclosure is proven: an end at some node is not finite, a divisor
-    box holds 0, or an ln or sqrt box reaches past its domain.  A tree
-    with tan or a general ^ (np.power) gives None.
+    box holds 0, or an ln or sqrt box reaches past its domain.  An
+    element is (nan, nan), void, where the lane is nan at every point of
+    the boxes: an ln or sqrt argument's upper end is < 0 (strictly: both
+    are defined at -0.0) while no node walked so far is unknown there
+    (below an unknown node the ends can be anything).  nan survives
+    every node the walk bounds, so void wins over unknown.  A tree with tan or a general ^ (np.power;
+    np.power(nan, 0) is 1) gives None.
     """
     import numpy as np
 
-    unknown = np.False_
+    unknown = void = np.False_
 
     def node(lo, hi, leaves_domain=np.False_):
         nonlocal unknown
@@ -690,6 +695,7 @@ def _array_bounds(
         return widen(np.where(whole, -1.0, low), np.where(whole, 1.0, high))
 
     def walk(expr: Expression):
+        nonlocal void
         if isinstance(expr, Literal):
             value = np.float64(expr.value)
             return node(value, value)
@@ -726,6 +732,9 @@ def _array_bounds(
                 return trig(np.cos if expr.func == "cos" else np.sin, lo, hi, 0.0 if expr.func == "cos" else 0.5)
             if expr.func == "exp":
                 return widen(np.exp(lo), np.exp(hi))
+            if expr.func in ("ln", "sqrt"):
+                # an argument proven below 0 leaves the lane nan at every point
+                void = void | (hi < 0) & ~unknown
             # past their domain log and sqrt give -inf or nan, which node() flags
             if expr.func == "ln":
                 return widen(np.log(lo), np.log(hi))
@@ -741,8 +750,8 @@ def _array_bounds(
             return None
     # shaped like the boxes, as compile_array's result is shaped like its arguments
     shape = np.broadcast_shapes(*(np.shape(end) for box in boxes.values() for end in box))
-    return (np.broadcast_to(np.where(unknown, -np.inf, lo), shape),
-            np.broadcast_to(np.where(unknown, np.inf, hi), shape))
+    lo, hi = np.where(unknown, -np.inf, lo), np.where(unknown, np.inf, hi)
+    return np.broadcast_to(np.where(void, np.nan, lo), shape), np.broadcast_to(np.where(void, np.nan, hi), shape)
 
 
 def compile_array(expr: Expression, params: Sequence[str] = ("x", "y")) -> Callable[..., np.ndarray]:

@@ -92,6 +92,10 @@ _SCAN_CHUNK = 16_384
 # 32,768 on the benchmark's median operation for 10 of 10 seeds, though
 # at grid 2000 it takes 4,203 minor faults per scan against 186.
 _ROW_BLOCK = 49_152
+# Cell columns per implicit-scan tile.  A tile is one row block by
+# _TILE cell columns, and one interval bound decides whether F is
+# evaluated on it.
+_TILE = 16
 # Chunks whose |f| bounds a polar share works out at a time, so the bound
 # arrays hold len(radii) x 1024 entries whatever the angle count.
 _BOUND_BLOCK = 1024
@@ -407,7 +411,9 @@ def angular_bound_scan(
             polar = {"r": (r_column, r_column), "t": ((first + 0.5) * cell, (last + 0.5) * cell)}
             box = _array_bounds(f, {"x": _array_bounds(_POLAR_X, polar), "y": _array_bounds(_POLAR_Y, polar)})
             if box is not None:
-                return np.maximum(np.abs(box[0]), np.abs(box[1]))
+                # a void chunk is nan at every angle, so its max is inf: never skipped
+                bound = np.maximum(np.abs(box[0]), np.abs(box[1]))
+                return np.where(np.isnan(bound), math.inf, bound)
         return np.full((len(rs), len(block)), math.inf)
 
     def scan(share: range, stop: threading.Event) -> list[float]:
@@ -505,6 +511,14 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     cells whose centre falls outside the disk of radius R.  Returned
     cell centres are sorted by x then y.
 
+    F is evaluated only on live tiles.  A tile is one row block by
+    _TILE cell columns, bounded by interval arithmetic on the numpy lane
+    (expr._array_bounds); it is dead when the bound proves every corner
+    >= 1e-14, every corner <= -1e-14, or F nan throughout.  No cell of a
+    dead tile can be flagged, so the cells are those of a scan that
+    evaluates F everywhere, and with no bound (tan, a general ^) every
+    tile is live.
+
     The disk test squares the coordinates, so R must keep R*R a normal
     double and 2*R*R finite: about 1.5e-154 <= R <= 9.5e153.
     """
@@ -527,19 +541,45 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
         return rows[:, :-1] | rows[:, 1:]
 
     # row blocks of about _ROW_BLOCK points, overlapping by one row;
-    # F sees an (n, 1) column against a (1, N) row, so x-only terms cost O(n)
+    # F sees an (n, 1) column against a (1, M) row, so x-only terms cost O(n)
     block = max(1, _ROW_BLOCK // grid_n)
-    for i0 in range(0, grid_n - 1, block):
-        i1 = min(i0 + block, grid_n - 1)
-        values = fn(xs[i0 : i1 + 1].reshape(-1, 1), xs.reshape(1, -1))
-        # on finite corners: a sign change or a corner with |F| < 1e-14
-        candidate = any_corner(values > -1e-14) & any_corner(values < 1e-14)
-        # few cells are candidates, so the finiteness, origin and disk tests run on those alone
-        i, j = np.divmod(np.flatnonzero(candidate), grid_n - 1)
-        finite = np.isfinite(values[[i, i + 1, i, i + 1], [j, j, j + 1, j + 1]]).all(axis=0)
-        i, j = i[finite] + i0, j[finite]
-        keep = ~(spans_zero[i] & spans_zero[j]) & (squares[i] + squares[j] <= R * R)
-        cells.extend(zip(centres[i[keep]].tolist(), centres[j[keep]].tolist()))
+    row_starts = np.arange(0, grid_n - 1, block)
+    # the lattice columns of each tile's first and last corner points
+    tile_starts = np.arange(0, grid_n - 1, _TILE)
+    y_box = (xs[tile_starts].reshape(1, -1), xs[np.minimum(tile_starts + _TILE, grid_n - 1)].reshape(1, -1))
+    # one bound per pass over row blocks holding at most _ROW_BLOCK tiles
+    per_pass = max(1, _ROW_BLOCK // len(tile_starts))
+    for first in range(0, len(row_starts), per_pass):
+        starts = row_starts[first : first + per_pass]
+        x_box = (xs[starts].reshape(-1, 1), xs[np.minimum(starts + block, grid_n - 1)].reshape(-1, 1))
+        box = _array_bounds(F, {"x": x_box, "y": y_box})
+        if box is None:
+            live = np.ones((len(starts), len(tile_starts)), dtype=bool)
+        else:
+            # dead: every corner >= 1e-14, every corner <= -1e-14, or none finite (void; nan fails both)
+            live = (box[0] < 1e-14) & (box[1] > -1e-14)
+        # the lattice columns of the live tiles' cells and their right neighbours
+        live_cells = np.repeat(live, _TILE, axis=1)[:, : grid_n - 1]
+        points = np.zeros((len(starts), grid_n), dtype=bool)
+        points[:, :-1] = live_cells
+        points[:, 1:] |= live_cells
+        for i0, columns in zip(starts.tolist(), points):
+            cols = np.flatnonzero(columns)
+            if not len(cols):
+                continue
+            i1 = min(i0 + block, grid_n - 1)
+            values = fn(xs[i0 : i1 + 1].reshape(-1, 1), xs[cols].reshape(1, -1))
+            # on finite corners: a sign change or a corner with |F| < 1e-14
+            candidate = any_corner(values > -1e-14) & any_corner(values < 1e-14)
+            # few cells are candidates, so the finiteness, origin and disk tests run on those alone.
+            # Two gathered columns that are not lattice neighbours never make a candidate: both
+            # lie in a run of dead tiles, and neighbouring dead tiles share a column, so the run
+            # is all >= 1e-14, all <= -1e-14 or all nan
+            i, k = np.divmod(np.flatnonzero(candidate), len(cols) - 1)
+            finite = np.isfinite(values[[i, i + 1, i, i + 1], [k, k, k + 1, k + 1]]).all(axis=0)
+            i, j = i[finite] + i0, cols[k[finite]]
+            keep = ~(spans_zero[i] & spans_zero[j]) & (squares[i] + squares[j] <= R * R)
+            cells.extend(zip(centres[i[keep]].tolist(), centres[j[keep]].tolist()))
     return cells
 
 

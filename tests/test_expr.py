@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trees import trees
 
@@ -438,6 +438,9 @@ _CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
     st.lists(st.tuples(_ENDS, _WIDTHS, _ENDS, _WIDTHS), min_size=1, max_size=8),
     st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=2),
 )
+# an argument below 0 under an unknown node, and one whose upper end is 0.0
+@example(parse("sqrt(1/x-2)"), [(-1.0, 2.0, 0.0, 0.0)], [(0.625, 0.0), (0.5, 0.0)])
+@example(parse("ln(x)+sqrt(y)"), [(-1.0, 1.0, -1.0, 1.0)], [(0.5, 0.5), (0.0, 0.0)])
 @settings(max_examples=400, deadline=None)
 def test_array_bounds_enclose_every_lane_value_inside_the_boxes(tree, boxes, fractions):
     x_lo, x_width, y_lo, y_width = (np.array(column) for column in zip(*boxes))
@@ -448,12 +451,14 @@ def test_array_bounds_enclose_every_lane_value_inside_the_boxes(tree, boxes, fra
         assert "Ftan(" in fn.source or "POW(" in fn.source
         return
     lo, hi = bounds
-    proven = np.isfinite(lo)
+    proven, void = np.isfinite(lo), np.isnan(lo)
     assert (np.isfinite(hi) == proven).all() and (lo <= hi)[proven].all()
+    assert (np.isnan(hi) == void).all()
     for u, v in _CORNERS + fractions:
         values = fn(np.clip(x_lo + u * x_width, x_lo, x_hi), np.clip(y_lo + v * y_width, y_lo, y_hi))
         assert np.isfinite(values[proven]).all()
         assert ((lo <= values) & (values <= hi))[proven].all(), (u, v)
+        assert np.isnan(values[void]).all(), (u, v)
 
 
 @pytest.mark.parametrize("name", ["sin", "cos", "exp", "ln", "sqrt"])
@@ -481,3 +486,18 @@ def test_array_bounds_refuse_what_they_cannot_enclose():
     assert -1.0 < lo[1] and hi[1] < 1.0
     # shaped like the boxes even for a tree without variables
     assert _array_bounds(parse("2^3"), box)[0].tolist() == [8.0, 8.0, 8.0]
+
+
+def test_array_bounds_mark_void_only_where_the_lane_is_nan_throughout():
+    whole, negative = {"x": (np.array([-1.0]), np.array([1.0]))}, {"x": (np.array([-1.0]), np.array([-0.0]))}
+    # 1/x is unknown on a box holding 0, so its ends [-3, -1] say nothing:
+    # sqrt(1/x-2) is finite at x = 0.25
+    assert not np.isnan(_array_bounds(parse("sqrt(1/x-2)"), whole)[0]).any()
+    # ln(-0.0) is -inf and sqrt(-0.0) is -0.0, neither nan
+    assert not np.isnan(_array_bounds(parse("ln(x)"), negative)[0]).any()
+    assert not np.isnan(_array_bounds(parse("sqrt(x)"), negative)[0]).any()
+    # void wins over the unknown 1/x walked after it
+    for text in ("sqrt(-1-x^2)", "ln(-1-x^2)*2+1/x"):
+        lo, hi = _array_bounds(parse(text), whole)
+        assert np.isnan(lo).all() and np.isnan(hi).all()
+        assert np.isnan(compile_array(parse(text), ("x",))(np.linspace(-1.0, 1.0, 101))).all()

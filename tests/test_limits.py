@@ -534,6 +534,52 @@ def test_implicit_scan_matches_the_whole_grid_on_hostile_fields(field, rows):
     assert cells == _meshgrid_scan(F, R, grid_n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_hostile_fields(), st.sampled_from([1, 7]), st.sampled_from([1, 3, 16]))
+def test_tiled_scan_matches_the_whole_grid_on_hostile_fields(field, rows, tile):
+    text, R, grid_n = field
+    F = parse(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+        patch.setattr(limits, "_TILE", tile)
+        cells = implicit_zero_scan(F, R, grid_n)
+    assert cells == _meshgrid_scan(F, R, grid_n)
+
+
+def test_the_sqrt_field_evaluates_a_small_share_of_its_lattice(monkeypatch):
+    # nan outside the unit disk and far from the curve inside it: only
+    # tiles near the circle of radius sqrt(1-0.5^2) are evaluated
+    calls = _counting_compile(monkeypatch)
+    cells = implicit_zero_scan(parse("sqrt(1-x^2-y^2)-0.5"), 1.2, 2000)
+    assert cells and sum(calls) < 0.15 * 2000**2
+
+
+@pytest.mark.parametrize("text", ["x^2+y^2+1", "sqrt(-1-x^2-y^2)"])
+def test_fields_proven_free_of_zeros_are_never_evaluated(monkeypatch, text):
+    calls = _counting_compile(monkeypatch)
+    assert implicit_zero_scan(parse(text), 1.0, 400) == []
+    assert calls == []
+
+
+def test_each_bound_pass_holds_at_most_a_row_block_of_tiles(monkeypatch):
+    F, grid_n = parse("x^2+y^2-0.25"), 4000
+    expected = implicit_zero_scan(F, 1.0, grid_n)
+    passes = []
+    real_bounds = limits._array_bounds
+
+    def recording_bounds(expr, boxes):
+        box = real_bounds(expr, boxes)
+        passes.append(box[0].shape)
+        return box
+
+    monkeypatch.setattr(limits, "_array_bounds", recording_bounds)
+    monkeypatch.setattr(limits, "_ROW_BLOCK", 2 * grid_n)
+    assert implicit_zero_scan(F, 1.0, grid_n) == expected
+    assert len(passes) > 1 and all(rows * tiles <= limits._ROW_BLOCK for rows, tiles in passes)
+    # blocks of two cell rows, each bounded once
+    assert sum(rows for rows, _ in passes) == math.ceil((grid_n - 1) / 2)
+
+
 # corner values at the kernel's edges: the 1e-14 thresholds and their
 # neighbours, signed zeros, subnormals, and the non-finite values
 _EDGE_VALUES = (
@@ -585,6 +631,8 @@ def test_implicit_kernel_matches_the_whole_grid_on_edge_corners(monkeypatch, row
     table = np.array([[rng.choice(_EDGE_VALUES) for _ in range(grid_n)] for _ in range(grid_n)])
     assert len(_corner_kinds(table, R)) == 5
     compile_lattice = _lattice_compile(table, R)
+    # the bounds of x+y do not describe the table, so no tile may be skipped
+    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
     monkeypatch.setattr(limits, "compile_array", compile_lattice)
     monkeypatch.setitem(_meshgrid_scan.__globals__, "compile_array", compile_lattice)
     if rows is not None:
@@ -598,6 +646,8 @@ def test_implicit_kernel_matches_the_whole_grid_on_edge_corners(monkeypatch, row
 def test_implicit_row_blocks_stay_within_the_bound(monkeypatch, grid_n):
     # the memory bound without tracemalloc: each F call sees one block of rows
     blocks = []
+    # with no bounds no tile is skipped, so every row block sees whole rows
+    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
     real_compile = limits.compile_array
 
     def recording_compile(*args):
@@ -656,6 +706,18 @@ def test_polar_chunks_match_the_whole_circle(monkeypatch, text):
                 # sqrt(y) is finite on the whole first chunk and nan only later
                 assert not scan.bounded
                 assert all(m == math.inf for _, m in scan.rows)
+
+
+def test_a_void_field_reads_inf_on_every_circle(monkeypatch):
+    # sqrt(-1-x^2-y^2) is nan at every angle, so its chunk bounds are void;
+    # read as nan they would compare below every running maximum
+    f, radii = parse("sqrt(-1-x^2-y^2)"), (0.5, 0.1, 1e-3)
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
+    for workers in (1, 2):
+        monkeypatch.setattr(limits, "_WORKERS", workers)
+        scan = angular_bound_scan(f, radii, 2501)
+        assert scan == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
+        assert not scan.bounded and all(m == math.inf for _, m in scan.rows)
 
 
 def test_polar_shares_agree_with_more_workers_than_cores_under_fast_switching(monkeypatch):
@@ -749,15 +811,15 @@ def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
 
 
 def _counting_compile(monkeypatch) -> list[int]:
-    """Count the chunks f is evaluated on, at any radius, across every scan that follows."""
-    calls = [0]
+    """The number of points in each evaluation of f, across every scan that follows."""
+    calls = []
     real_compile = limits.compile_array
 
     def counting_compile(*args):
         fn = real_compile(*args)
 
         def wrapper(x, y):
-            calls[0] += 1
+            calls.append(np.broadcast(x, y).size)
             return fn(x, y)
 
         return wrapper
@@ -771,10 +833,10 @@ def test_the_saddle_at_ten_million_angles_evaluates_a_handful_of_chunks(monkeypa
     monkeypatch.setattr(limits, "_WORKERS", 2)
     f = parse("1.5*x*y/(x+y)")
     scan = angular_bound_scan(f, (1e-3,), 10_000_000)
-    assert calls[0] <= 4 and not scan.bounded
+    assert len(calls) <= 4 and not scan.bounded
     monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
     assert angular_bound_scan(f, (1e-3,), 10_000_000) == scan
-    assert calls[0] > 611
+    assert len(calls) > 611
 
 
 def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
@@ -784,7 +846,7 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
     monkeypatch.setattr(limits, "_WORKERS", 1)
     assert angular_bound_scan(parse("1+0*x"), (0.5, 0.1), 9000).rows == ((0.5, 1.0), (0.1, 1.0))
-    assert calls[0] == 2 * 9
+    assert len(calls) == 2 * 9
 
 
 @given(
