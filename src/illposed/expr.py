@@ -654,10 +654,11 @@ def _array_bounds(
     box holds 0, or an ln or sqrt box reaches past its domain.  An
     element is (nan, nan), void, where the lane is nan at every point of
     the boxes: an ln or sqrt argument's upper end is < 0 (strictly: both
-    are defined at -0.0) while no node walked so far is unknown there
-    (below an unknown node the ends can be anything).  nan survives
-    every node the walk bounds, so void wins over unknown.  A tree with tan or a general ^ (np.power;
-    np.power(nan, 0) is 1) gives None.
+    are defined at -0.0) while no node of that argument is unknown there
+    (the ends of a node computed from an unknown one can be anything).
+    nan survives every node the walk bounds, so void wins over unknown.
+    A tree with tan or a general ^ (np.power; np.power(nan, 0) is 1)
+    gives None.
     """
     import numpy as np
 
@@ -695,7 +696,7 @@ def _array_bounds(
         return widen(np.where(whole, -1.0, low), np.where(whole, 1.0, high))
 
     def walk(expr: Expression):
-        nonlocal void
+        nonlocal unknown, void
         if isinstance(expr, Literal):
             value = np.float64(expr.value)
             return node(value, value)
@@ -725,16 +726,19 @@ def _array_bounds(
                 return corners(np.multiply, a, b)
             return corners(np.divide, a, b, (b[0] <= 0) & (b[1] >= 0))
         if isinstance(expr, Call):
+            # the argument's own flag: an unknown sibling says nothing of its ends
+            outer, unknown = unknown, np.False_
             lo, hi = walk(expr.arg)
+            if expr.func in ("ln", "sqrt"):
+                # an argument proven below 0 leaves the lane nan at every point
+                void = void | (hi < 0) & ~unknown
+            unknown = outer | unknown
             if expr.func == "abs":
                 return even(lo, hi, np.abs)
             if expr.func in ("cos", "sin"):
                 return trig(np.cos if expr.func == "cos" else np.sin, lo, hi, 0.0 if expr.func == "cos" else 0.5)
             if expr.func == "exp":
                 return widen(np.exp(lo), np.exp(hi))
-            if expr.func in ("ln", "sqrt"):
-                # an argument proven below 0 leaves the lane nan at every point
-                void = void | (hi < 0) & ~unknown
             # past their domain log and sqrt give -inf or nan, which node() flags
             if expr.func == "ln":
                 return widen(np.log(lo), np.log(hi))

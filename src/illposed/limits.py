@@ -16,9 +16,7 @@ origin (useful when an equation hides an isolated solution point).
 from __future__ import annotations
 
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -80,10 +78,9 @@ DIVERGENCE_CAP = 1e12
 AGREEMENT_TOL = 1e-4
 ANGULAR_CAP = 1e6
 
-# Angles per polar scan chunk.  16,384 doubles make 128 KB temporaries.
-# Measured against 65,536 on a 2-vCPU host: threaded polar shares no
-# longer leave freed 512 KB chunks in a second malloc arena, which
-# raised the dense-scan benchmark's peak RSS by 9-16%.
+# Angles per polar scan chunk.  16,384 doubles make 128 KB temporaries,
+# and a chunk is the unit the interval bound skips: the 10M-angle saddle
+# evaluates 2 of its 611 chunks.
 _SCAN_CHUNK = 16_384
 # Lattice points per implicit-scan row block.  On a 2-vCPU Xeon host
 # (2 MiB L2 per core) the five dense-scan benchmark fields took 59.7,
@@ -96,14 +93,12 @@ _ROW_BLOCK = 49_152
 # _TILE cell columns, and one interval bound decides whether F is
 # evaluated on it.
 _TILE = 16
-# Chunks whose |f| bounds a polar share works out at a time, so the bound
+# Chunks whose |f| bounds the polar scan works out at a time, so the bound
 # arrays hold len(radii) x 1024 entries whatever the angle count.
 _BOUND_BLOCK = 1024
 # x = r*cos(t) and y = r*sin(t), the products the polar scan evaluates f on
 _POLAR_X = Binary("*", Variable("r"), Call("cos", Variable("t")))
 _POLAR_Y = Binary("*", Variable("r"), Call("sin", Variable("t")))
-# The polar scan spreads its chunks over the CPUs this process may run on.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class PathStatus(str, Enum):
@@ -381,12 +376,10 @@ def angular_bound_scan(
     matters: a pole hiding between grid angles needs n_angles on the
     order of the cap before the ratio test can see it.
 
-    Chunks of angles are spread in contiguous shares over the CPUs the
-    process may run on; a scan of one chunk runs in the calling thread.
-    Each share bounds |f| over blocks of its chunks by interval
+    The scan bounds |f| over blocks of angle chunks by interval
     arithmetic on the numpy lane (expr._array_bounds), visits each
     block's chunks by descending bound, and skips a chunk at a radius
-    when its bound is strictly below the share's running maximum there.
+    when its bound is strictly below the running maximum there.
     A skipped chunk cannot hold the maximum, so the rows are byte for
     byte those of a scan that evaluates f at every angle.
     """
@@ -416,83 +409,32 @@ def angular_bound_scan(
                 return np.where(np.isnan(bound), math.inf, bound)
         return np.full((len(rs), len(block)), math.inf)
 
-    def scan(share: range, stop: threading.Event) -> list[float]:
-        worst = [0.0] * len(rs)
-        for i in range(0, len(share), _BOUND_BLOCK):
-            if stop.is_set():
-                return worst
-            block = share[i : i + _BOUND_BLOCK]
-            bound = bounds(block)
-            order = np.argsort(-bound.max(axis=0), kind="stable")
-            # the running maxima only grow, so a chunk below them all now stays below them
-            ceiling = np.array(worst).reshape(-1, 1)
-            live = ((bound >= ceiling) & (ceiling < math.inf)).any(axis=0)
-            for c in order[live[order]].tolist():
-                need = [k for k, m in enumerate(worst) if m < math.inf and bound[k, c] >= m]
-                if not need:
-                    continue
-                if stop.is_set():
-                    return worst
-                # one cos/sin per angle chunk, shared by every radius
-                start = block[c]
-                angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
-                cos, sin = np.cos(angles), np.sin(angles)
-                for k in need:
-                    # kept alive until the next chunk's values exist: freed at the heap
-                    # top, glibc trims the temporaries and the next chunk faults them in again
-                    values = fn(rs[k] * cos, rs[k] * sin)
-                    chunk_worst = float(np.max(np.abs(values)))
-                    # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
-                    worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
-        return worst
-
-    # contiguous shares of the chunk starts; max is exact in any order,
-    # so the rows do not depend on how many shares there are
-    n = min(_WORKERS, len(starts))
-    shares = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
-    worst = [max(column) for column in zip(*_run_shares(scan, shares))]
+    worst = [0.0] * len(rs)
+    for i in range(0, len(starts), _BOUND_BLOCK):
+        block = starts[i : i + _BOUND_BLOCK]
+        bound = bounds(block)
+        order = np.argsort(-bound.max(axis=0), kind="stable")
+        # the running maxima only grow, so a chunk below them all now stays below them
+        ceiling = np.array(worst).reshape(-1, 1)
+        live = ((bound >= ceiling) & (ceiling < math.inf)).any(axis=0)
+        for c in order[live[order]].tolist():
+            need = [k for k, m in enumerate(worst) if m < math.inf and bound[k, c] >= m]
+            if not need:
+                continue
+            # one cos/sin per angle chunk, shared by every radius
+            start = block[c]
+            angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
+            cos, sin = np.cos(angles), np.sin(angles)
+            for k in need:
+                # kept alive until the next chunk's values exist: freed at the heap
+                # top, glibc trims the temporaries and the next chunk faults them in again
+                values = fn(rs[k] * cos, rs[k] * sin)
+                chunk_worst = float(np.max(np.abs(values)))
+                # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
+                worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
     rows = tuple(zip(rs, worst))
     bounded = all(m / r < cap for r, m in rows)
     return AngularScan(rows, bounded, n_angles, cap)
-
-
-def _run_shares(work, shares: list[range]) -> list:
-    """work(share, stop) for each share: the first in this thread, every other in a thread of its own.
-
-    So one share starts no thread.  Any exception, in any share or while
-    this thread waits for the others, sets `stop`, which each share
-    checks before its next chunk; once every thread has ended, the first
-    exception is raised again.
-    """
-    stop = threading.Event()
-    results: list = [None] * len(shares)
-    errors: list[BaseException] = []
-
-    def run(i: int) -> None:
-        try:
-            results[i] = work(shares[i], stop)
-        except BaseException as err:
-            errors.append(err)
-            stop.set()
-
-    started: list[threading.Thread] = []
-    try:
-        for i in range(1, len(shares)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            started.append(thread)
-        run(0)
-        for thread in started:
-            thread.join()
-    except BaseException:
-        # an interrupt while joining, or a thread that could not start
-        stop.set()
-        for thread in started:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return results
 
 
 def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple[float, float]]:
@@ -628,4 +570,12 @@ def polar_csv(scan: AngularScan, round_to: int | None = None) -> str:
 
 
 def implicit_csv(cells: Sequence[tuple[float, float]], round_to: int | None = None) -> str:
-    return csv_text((), "cell_x,cell_y", *(column(values, round_to) for values in zip(*cells)))
+    """The cell centres, each distinct value formatted once: a lattice's centres repeat across its cells."""
+    columns = []
+    for values in zip(*cells):
+        # as float keys 0.0 and -0.0 would merge (0.0 == -0.0), so a zero is keyed by its text
+        keys = [v or str(v) for v in values]
+        distinct = dict.fromkeys(keys)
+        text = dict(zip(distinct, column(map(float, distinct), round_to)))
+        columns.append([text[k] for k in keys])
+    return csv_text((), "cell_x,cell_y", *columns)

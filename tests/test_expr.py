@@ -441,6 +441,8 @@ _CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 # an argument below 0 under an unknown node, and one whose upper end is 0.0
 @example(parse("sqrt(1/x-2)"), [(-1.0, 2.0, 0.0, 0.0)], [(0.625, 0.0), (0.5, 0.0)])
 @example(parse("ln(x)+sqrt(y)"), [(-1.0, 1.0, -1.0, 1.0)], [(0.5, 0.5), (0.0, 0.0)])
+# a void ln walked after an unknown sibling
+@example(parse("1/x+ln(-1-y^2)"), [(-1.0, 2.0, -1.0, 2.0)], [(0.5, 0.5), (0.25, 0.75)])
 @settings(max_examples=400, deadline=None)
 def test_array_bounds_enclose_every_lane_value_inside_the_boxes(tree, boxes, fractions):
     x_lo, x_width, y_lo, y_width = (np.array(column) for column in zip(*boxes))
@@ -496,8 +498,8 @@ def test_array_bounds_mark_void_only_where_the_lane_is_nan_throughout():
     # ln(-0.0) is -inf and sqrt(-0.0) is -0.0, neither nan
     assert not np.isnan(_array_bounds(parse("ln(x)"), negative)[0]).any()
     assert not np.isnan(_array_bounds(parse("sqrt(x)"), negative)[0]).any()
-    # void wins over the unknown 1/x walked after it
-    for text in ("sqrt(-1-x^2)", "ln(-1-x^2)*2+1/x"):
+    # void wins over an unknown 1/x, walked after it, before it or inside the same argument
+    for text in ("sqrt(-1-x^2)", "ln(-1-x^2)*2+1/x", "1/x+ln(-1-x^2)*2", "sqrt(1/x+ln(-1-x^2))"):
         lo, hi = _array_bounds(parse(text), whole)
         assert np.isnan(lo).all() and np.isnan(hi).all()
         assert np.isnan(compile_array(parse(text), ("x",))(np.linspace(-1.0, 1.0, 101))).all()

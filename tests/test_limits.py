@@ -9,7 +9,6 @@ though the "test all lines" heuristic says otherwise.
 import json
 import math
 import random
-import sys
 import threading
 import tracemalloc
 
@@ -554,10 +553,12 @@ def test_the_sqrt_field_evaluates_a_small_share_of_its_lattice(monkeypatch):
     assert cells and sum(calls) < 0.15 * 2000**2
 
 
-@pytest.mark.parametrize("text", ["x^2+y^2+1", "sqrt(-1-x^2-y^2)"])
+@pytest.mark.parametrize("text", ["x^2+y^2+1", "sqrt(-1-x^2-y^2)", "1/x+ln(-1-x^2-y^2)"])
 def test_fields_proven_free_of_zeros_are_never_evaluated(monkeypatch, text):
+    F = parse(text)
+    expected = _meshgrid_scan(F, 1.0, 400)
     calls = _counting_compile(monkeypatch)
-    assert implicit_zero_scan(parse(text), 1.0, 400) == []
+    assert implicit_zero_scan(F, 1.0, 400) == expected == []
     assert calls == []
 
 
@@ -695,17 +696,14 @@ def _whole_circle_scan(f, radii, n_angles, cap):
 def test_polar_chunks_match_the_whole_circle(monkeypatch, text):
     f, radii = parse(text), (0.5, 0.1, 1e-3)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    # 2501 angles make three chunks, so seven workers still get only three
-    # shares; 360 angles make one chunk, fewer than workers * chunk
-    for workers in (1, 2, 3, 7):
-        monkeypatch.setattr(limits, "_WORKERS", workers)
-        for n_angles in (2501, 360):
-            scan = angular_bound_scan(f, radii, n_angles)
-            assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP), (workers, n_angles)
-            if text in ("ln(x)", "sqrt(y)"):
-                # sqrt(y) is finite on the whole first chunk and nan only later
-                assert not scan.bounded
-                assert all(m == math.inf for _, m in scan.rows)
+    # 2501 angles make three chunks, the last one short; 360 angles make one
+    for n_angles in (2501, 360):
+        scan = angular_bound_scan(f, radii, n_angles)
+        assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP), n_angles
+        if text in ("ln(x)", "sqrt(y)"):
+            # sqrt(y) is finite on the whole first chunk and nan only later
+            assert not scan.bounded
+            assert all(m == math.inf for _, m in scan.rows)
 
 
 def test_a_void_field_reads_inf_on_every_circle(monkeypatch):
@@ -713,101 +711,50 @@ def test_a_void_field_reads_inf_on_every_circle(monkeypatch):
     # read as nan they would compare below every running maximum
     f, radii = parse("sqrt(-1-x^2-y^2)"), (0.5, 0.1, 1e-3)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    for workers in (1, 2):
-        monkeypatch.setattr(limits, "_WORKERS", workers)
-        scan = angular_bound_scan(f, radii, 2501)
-        assert scan == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
-        assert not scan.bounded and all(m == math.inf for _, m in scan.rows)
-
-
-def test_polar_shares_agree_with_more_workers_than_cores_under_fast_switching(monkeypatch):
-    f, radii = parse(SADDLE), (0.5, 1e-3)
-    monkeypatch.setattr(limits, "_SCAN_CHUNK", 500)
-    monkeypatch.setattr(limits, "_WORKERS", 7)
-    expected = _whole_circle_scan(f, radii, 20_001, ANGULAR_CAP)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            assert angular_bound_scan(f, radii, 20_001) == expected
-    finally:
-        sys.setswitchinterval(interval)
+    scan = angular_bound_scan(f, radii, 2501)
+    assert scan == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
+    assert not scan.bounded and all(m == math.inf for _, m in scan.rows)
 
 
 class _Boom(Exception):
     pass
 
 
-@pytest.mark.parametrize(
-    ("failing", "error"),
-    [("worker", _Boom), ("main", _Boom), ("main", KeyboardInterrupt)],
-)
-def test_a_failing_share_stops_the_others_within_one_chunk(monkeypatch, failing, error):
-    # with no bounds every chunk is evaluated, so each share calls f
+@pytest.mark.parametrize("error", [_Boom, KeyboardInterrupt])
+def test_an_error_in_f_ends_the_scan_and_propagates(monkeypatch, error):
+    # with no bounds every chunk is evaluated, in order
     monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
-    calls: dict[str, int] = {"main": 0, "worker": 0}
-    at_error: dict[str, int] = {}
+    calls = []
     real_compile = limits.compile_array
 
     def failing_compile(*args):
         fn = real_compile(*args)
 
         def wrapper(x, y):
-            share = "main" if threading.current_thread() is threading.main_thread() else "worker"
-            if share == failing and not at_error:
-                at_error.update(calls)
+            calls.append(len(calls))
+            if len(calls) == 3:
                 raise error("injected")
-            calls[share] += 1
             return fn(x, y)
 
         return wrapper
 
     monkeypatch.setattr(limits, "compile_array", failing_compile)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    monkeypatch.setattr(limits, "_WORKERS", 2)
-    threads_before = threading.active_count()
     with pytest.raises(error, match="injected"):
-        angular_bound_scan(parse(CUBIC), (0.1,), 80_000)  # two shares of 40 chunks
-    assert threading.active_count() == threads_before
-    other = "main" if failing == "worker" else "worker"
-    # at most the chunk in flight when the error struck, and one begun
-    # before the stop event was set
-    assert calls[other] - at_error[other] <= 2
-    assert calls[failing] == 0
+        angular_bound_scan(parse(CUBIC), (0.1,), 80_000)  # 80 chunks
+    # f is called no more once it has raised on the third chunk
+    assert calls == [0, 1, 2]
 
 
-def test_a_one_chunk_scan_starts_no_thread(monkeypatch):
+def test_a_many_chunk_scan_starts_no_thread(monkeypatch):
     def no_thread(*args, **kwargs):
-        raise AssertionError("a one-chunk scan started a thread")
+        raise AssertionError("the polar scan started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(limits, "_WORKERS", 7)
-    scan = angular_bound_scan(parse(CUBIC))
-    assert scan.n_angles == 720 <= limits._SCAN_CHUNK
-
-
-def test_polar_shares_run_in_threads_of_their_own(monkeypatch):
-    # thread objects, not idents: an ident may be reused once a share's
-    # thread has exited, while the set keeps each thread object alive
-    threads = set()
-    # with no bounds every chunk is evaluated, so each share calls f
-    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
-    real_compile = limits.compile_array
-
-    def recording_compile(*args):
-        fn = real_compile(*args)
-
-        def wrapper(x, y):
-            threads.add(threading.current_thread())
-            return fn(x, y)
-
-        return wrapper
-
-    monkeypatch.setattr(limits, "compile_array", recording_compile)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    monkeypatch.setattr(limits, "_WORKERS", 3)
-    angular_bound_scan(parse(CUBIC), (0.1,), 9000)
-    assert len(threads) == 3 and threading.main_thread() in threads
+    f, radii = parse(CUBIC), (0.5, 0.1)
+    # three chunks, the last one short
+    assert angular_bound_scan(f, radii, 2501) == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
 
 
 def _counting_compile(monkeypatch) -> list[int]:
@@ -830,7 +777,6 @@ def _counting_compile(monkeypatch) -> list[int]:
 
 def test_the_saddle_at_ten_million_angles_evaluates_a_handful_of_chunks(monkeypatch):
     calls = _counting_compile(monkeypatch)
-    monkeypatch.setattr(limits, "_WORKERS", 2)
     f = parse("1.5*x*y/(x+y)")
     scan = angular_bound_scan(f, (1e-3,), 10_000_000)
     assert len(calls) <= 4 and not scan.bounded
@@ -844,7 +790,6 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     # below the running maximum lets a chunk go unevaluated
     calls = _counting_compile(monkeypatch)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    monkeypatch.setattr(limits, "_WORKERS", 1)
     assert angular_bound_scan(parse("1+0*x"), (0.5, 0.1), 9000).rows == ((0.5, 1.0), (0.1, 1.0))
     assert len(calls) == 2 * 9
 
@@ -854,15 +799,13 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     st.sets(st.sampled_from([1e150, 2.0, 0.5, 1e-3, 1e-150]), min_size=1).map(lambda rs: sorted(rs, reverse=True)),
     st.integers(361, 20_011),
     st.sampled_from([16, 64, 500]),
-    st.sampled_from([1, 2, 3]),
     st.sampled_from([2, 1024]),
 )
 @settings(max_examples=150, deadline=None)
-def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, workers, block):
+def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block):
     # 1e150 and 1e-150 reach the overflow and underflow edges of ^4
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(limits, "_SCAN_CHUNK", chunk)
-        patch.setattr(limits, "_WORKERS", workers)
         patch.setattr(limits, "_BOUND_BLOCK", block)
         scan = angular_bound_scan(f, radii, n_angles)
     assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
@@ -978,3 +921,17 @@ def test_polar_csv_golden_prefix():
 def test_implicit_csv_golden():
     text = implicit_csv([(0.25, -0.5)])
     assert text == "cell_x,cell_y\n0.25,-0.5\n"
+
+
+@pytest.mark.parametrize("round_to", [None, 0, 3])
+def test_implicit_csv_formats_repeated_values_as_it_formats_each_one(round_to):
+    # 0.0 == -0.0 and nan != nan, so neither may share a key with the other zero or another nan
+    nan = math.nan
+    hostile = [0.0, -0.0, nan, float("nan"), -nan, math.inf, -math.inf, 5e-324, -5e-324, 2.0**-1022, 0.25, -0.5]
+    rng = random.Random(19)
+    cells = [(rng.choice(hostile), rng.choice(hostile)) for _ in range(400)]
+    cells += [(-0.0, 0.0), (0.0, -0.0), (nan, nan)]
+    spec = "%.17g" if round_to is None else f"%.{round_to}f"
+    expected = "cell_x,cell_y\n" + "".join(f"{spec % x},{spec % y}\n" for x, y in cells)
+    assert implicit_csv(cells, round_to) == expected
+    assert "-0" in expected and "nan" in expected
