@@ -44,6 +44,7 @@ from .cooling import (
 )
 from .expr import ParseError, parse
 from .limits import (
+    DEFAULT_RADII,
     LimitVerdict,
     angular_bound_scan,
     compare_trajectories,
@@ -115,6 +116,8 @@ def _read_config(path: str) -> list[tuple[str, str]]:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key=value")
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another config file")
         pairs.append((key, value))
     return pairs
 
@@ -156,9 +159,11 @@ def _apply_config(argv: list[str]) -> list[str]:
         else:
             # one token, so a value such as -y is not read as an option
             flags.append(f"--{key}={value}")
-    head = 2 if cleaned and cleaned[0] == "cooling" else 1
-    if len(cleaned) < head:
+    if not cleaned:
         raise UsageError("--config requires a subcommand")
+    # the flags follow the subcommand words (the tokens before the first option),
+    # and the first token at least, so a leading -h is read before a config --h=R
+    head = max(1, next((i for i, token in enumerate(cleaned) if token.startswith("-")), len(cleaned)))
     return cleaned[:head] + flags + cleaned[head:]
 
 
@@ -338,12 +343,8 @@ def _cmd_limit(args) -> str:
 
 
 def _cmd_polar_scan(args) -> str:
-    f = parse(args.f)
-    if args.radii is None:
-        scan = angular_bound_scan(f, n_angles=args.angles)
-    else:
-        scan = angular_bound_scan(f, _float_list(args.radii, flag="--radii"), args.angles)
-    return polar_csv(scan, args.round)
+    radii = DEFAULT_RADII if args.radii is None else _float_list(args.radii, flag="--radii")
+    return polar_csv(angular_bound_scan(parse(args.f), radii, args.angles), args.round)
 
 
 def _cmd_implicit_scan(args) -> str:
@@ -358,6 +359,8 @@ def _write_outputs(outputs: Sequence[tuple[str | None, str]]) -> None:
     the temps are renamed only after every write has succeeded and are
     unlinked on any failure.  Text for stdout (path None) goes out last.
     """
+    if any(path == "" for path, _ in outputs):
+        raise UsageError("an output path must not be empty")
     targets = [os.path.realpath(path) for path, _ in outputs if path is not None]
     if len(set(targets)) < len(targets):
         raise UsageError("--out and --sweep-out must name different files")

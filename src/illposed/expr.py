@@ -640,7 +640,7 @@ class _Unbounded(Exception):
 
 def _array_bounds(
     expr: Expression, boxes: Mapping[str, tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Enclosures [lo, hi] of every value compile_array's lane gives on the boxes.
 
     `boxes` maps each variable to numpy arrays of lower and upper ends,
@@ -658,7 +658,7 @@ def _array_bounds(
     (the ends of a node computed from an unknown one can be anything).
     nan survives every node the walk bounds, so void wins over unknown.
     A tree with tan or a general ^ (np.power; np.power(nan, 0) is 1)
-    gives None.
+    is (-inf, inf) everywhere, never void, whatever the walk saw before.
     """
     import numpy as np
 
@@ -751,7 +751,7 @@ def _array_bounds(
         try:
             lo, hi = walk(expr)
         except _Unbounded:
-            return None
+            lo, hi, unknown, void = -np.inf, np.inf, np.True_, np.False_
     # shaped like the boxes, as compile_array's result is shaped like its arguments
     shape = np.broadcast_shapes(*(np.shape(end) for box in boxes.values() for end in box))
     lo, hi = np.where(unknown, -np.inf, lo), np.where(unknown, np.inf, hi)

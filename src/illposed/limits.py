@@ -394,30 +394,19 @@ def angular_bound_scan(
     starts = range(0, n_angles, _SCAN_CHUNK)
     r_column = np.array(rs).reshape(-1, 1)
 
-    def bounds(block: range) -> np.ndarray:
-        """An upper bound on |f| for each radius and chunk of the block; inf where none is proven."""
-        # the first chunk is evaluated whatever its bound, so a one-chunk scan needs none
-        if len(starts) > 1:
-            first = np.asarray(block, dtype=float)
-            last = np.minimum(first + _SCAN_CHUNK, n_angles) - 1.0
-            # the chunk's first and last angles, computed as the chunk computes them
-            polar = {"r": (r_column, r_column), "t": ((first + 0.5) * cell, (last + 0.5) * cell)}
-            box = _array_bounds(f, {"x": _array_bounds(_POLAR_X, polar), "y": _array_bounds(_POLAR_Y, polar)})
-            if box is not None:
-                # a void chunk is nan at every angle, so its max is inf: never skipped
-                bound = np.maximum(np.abs(box[0]), np.abs(box[1]))
-                return np.where(np.isnan(bound), math.inf, bound)
-        return np.full((len(rs), len(block)), math.inf)
-
     worst = [0.0] * len(rs)
     for i in range(0, len(starts), _BOUND_BLOCK):
         block = starts[i : i + _BOUND_BLOCK]
-        bound = bounds(block)
-        order = np.argsort(-bound.max(axis=0), kind="stable")
-        # the running maxima only grow, so a chunk below them all now stays below them
-        ceiling = np.array(worst).reshape(-1, 1)
-        live = ((bound >= ceiling) & (ceiling < math.inf)).any(axis=0)
-        for c in order[live[order]].tolist():
+        first = np.asarray(block, dtype=float)
+        last = np.minimum(first + _SCAN_CHUNK, n_angles) - 1.0
+        # the chunk's first and last angles, computed as the chunk computes them
+        polar = {"r": (r_column, r_column), "t": ((first + 0.5) * cell, (last + 0.5) * cell)}
+        lo, hi = _array_bounds(f, {"x": _array_bounds(_POLAR_X, polar), "y": _array_bounds(_POLAR_Y, polar)})
+        # an upper bound on |f| for each radius and chunk; a void chunk is nan
+        # at every angle, so its max is inf: never skipped
+        bound = np.maximum(np.abs(lo), np.abs(hi))
+        bound = np.where(np.isnan(bound), math.inf, bound)
+        for c in np.argsort(-bound.max(axis=0), kind="stable").tolist():
             need = [k for k, m in enumerate(worst) if m < math.inf and bound[k, c] >= m]
             if not need:
                 continue
@@ -458,8 +447,8 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     (expr._array_bounds); it is dead when the bound proves every corner
     >= 1e-14, every corner <= -1e-14, or F nan throughout.  No cell of a
     dead tile can be flagged, so the cells are those of a scan that
-    evaluates F everywhere, and with no bound (tan, a general ^) every
-    tile is live.
+    evaluates F everywhere; where no bound is proven (tan, a general ^)
+    every tile is live.
 
     The disk test squares the coordinates, so R must keep R*R a normal
     double and 2*R*R finite: about 1.5e-154 <= R <= 9.5e153.
@@ -495,11 +484,8 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
         starts = row_starts[first : first + per_pass]
         x_box = (xs[starts].reshape(-1, 1), xs[np.minimum(starts + block, grid_n - 1)].reshape(-1, 1))
         box = _array_bounds(F, {"x": x_box, "y": y_box})
-        if box is None:
-            live = np.ones((len(starts), len(tile_starts)), dtype=bool)
-        else:
-            # dead: every corner >= 1e-14, every corner <= -1e-14, or none finite (void; nan fails both)
-            live = (box[0] < 1e-14) & (box[1] > -1e-14)
+        # dead: every corner >= 1e-14, every corner <= -1e-14, or none finite (void; nan fails both)
+        live = (box[0] < 1e-14) & (box[1] > -1e-14)
         # the lattice columns of the live tiles' cells and their right neighbours
         live_cells = np.repeat(live, _TILE, axis=1)[:, : grid_n - 1]
         points = np.zeros((len(starts), grid_n), dtype=bool)

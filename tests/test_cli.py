@@ -85,6 +85,22 @@ def test_out_and_sweep_out_naming_one_file_write_nothing(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        EULER_ARGS + ["--out", ""],
+        ["cooling", "range", "--temps", "40,30", "--sweep", "3", "--sweep-out", ""],
+    ],
+    ids=["out", "sweep-out"],
+)
+def test_an_empty_output_path_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # refused before a temp is staged, so the message names no temp file
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert out_of(capsys) == ("", "usage error: an output path must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_to_a_directory_leaves_no_temp(tmp_path, capsys):
     target = tmp_path / "D"
     target.mkdir()
@@ -557,6 +573,44 @@ def test_config_rejected_twice(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("h=0.5\n", encoding="utf-8")
     assert run(EULER_ARGS + ["--config", str(cfg), "--config", str(cfg)]) == 1
+
+
+def test_config_under_cooling_fit(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("temps=40,36,30\n", encoding="utf-8")
+    assert run(["cooling", "fit", "--t1", "0.5", "--temps", "40,36,30"]) == 0
+    expected = out_of(capsys)
+    assert run(["cooling", "fit", "--t1", "0.5", "--config", str(cfg)]) == 0
+    assert out_of(capsys) == expected
+
+
+def test_config_under_cooling_range(tmp_path, capsys):
+    sweep, cfg = tmp_path / "sweep.csv", tmp_path / "run.cfg"
+    cfg.write_text(f"sweep=3\nsweep-out={sweep}\n", encoding="utf-8")
+    assert run(["cooling", "range", "--temps", "40,30", "--sweep", "3", "--sweep-out", str(sweep)]) == 0
+    expected, table = out_of(capsys), sweep.read_text(encoding="utf-8")
+    sweep.unlink()
+    assert run(["cooling", "range", "--temps", "40,30", "--config", str(cfg)]) == 0
+    assert out_of(capsys) == expected
+    assert sweep.read_text(encoding="utf-8") == table and len(table.splitlines()) == 4
+
+
+def test_config_needs_a_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h=0.5\n", encoding="utf-8")
+    assert run(["--config", str(cfg)]) == 1
+    assert out_of(capsys) == ("", "usage error: --config requires a subcommand\n")
+    # help still wins over the config flags placed ahead of it
+    assert run(["-h", "--config", str(cfg)]) == 0
+    assert "usage" in out_of(capsys)[0].lower()
+
+
+def test_config_naming_another_config_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("config=/nonexistent.cfg\nsteps=2\n", encoding="utf-8")
+    assert run(["euler", "--rhs", "y^2+1", "--x0", "0", "--y0", "0", "--h", "0.5", "--config", str(cfg)]) == 1
+    out, err = out_of(capsys)
+    assert out == "" and err == f"usage error: {cfg}:1: a config file cannot name another config file\n"
 
 
 # --- process-level checks ----------------------------------------------------------

@@ -464,6 +464,12 @@ def test_implicit_scan_validation():
 # --- scan kernels across chunk boundaries ---------------------------------------
 
 
+def _no_bound(expr, boxes):
+    """An _array_bounds that proves nothing: infinite ends shaped like the boxes."""
+    shape = np.broadcast_shapes(*(np.shape(end) for box in boxes.values() for end in box))
+    return np.full(shape, -math.inf), np.full(shape, math.inf)
+
+
 def _meshgrid_scan(F, R, grid_n, tiny=1e-14):
     """The implicit scan as one whole-grid evaluation, as an oracle for the row blocks."""
     xs = np.linspace(-R, R, grid_n)
@@ -518,6 +524,7 @@ def _hostile_fields(draw):
         "x*y", f"x-({lattice!r})",  # exact zeros on lattice lines
         "-(x*y)", "x*0-y",  # zeros of either sign
         "x^2+1e-15", "x^2+2e-14",  # just inside and outside the near-zero bound
+        "tan(3*x)-y", "x^y-0.5",  # no bound is proven: every tile is live
     ]))
     return text, R, grid_n
 
@@ -633,7 +640,7 @@ def test_implicit_kernel_matches_the_whole_grid_on_edge_corners(monkeypatch, row
     assert len(_corner_kinds(table, R)) == 5
     compile_lattice = _lattice_compile(table, R)
     # the bounds of x+y do not describe the table, so no tile may be skipped
-    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     monkeypatch.setattr(limits, "compile_array", compile_lattice)
     monkeypatch.setitem(_meshgrid_scan.__globals__, "compile_array", compile_lattice)
     if rows is not None:
@@ -648,7 +655,7 @@ def test_implicit_row_blocks_stay_within_the_bound(monkeypatch, grid_n):
     # the memory bound without tracemalloc: each F call sees one block of rows
     blocks = []
     # with no bounds no tile is skipped, so every row block sees whole rows
-    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     real_compile = limits.compile_array
 
     def recording_compile(*args):
@@ -723,7 +730,7 @@ class _Boom(Exception):
 @pytest.mark.parametrize("error", [_Boom, KeyboardInterrupt])
 def test_an_error_in_f_ends_the_scan_and_propagates(monkeypatch, error):
     # with no bounds every chunk is evaluated, in order
-    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     calls = []
     real_compile = limits.compile_array
 
@@ -780,7 +787,7 @@ def test_the_saddle_at_ten_million_angles_evaluates_a_handful_of_chunks(monkeypa
     f = parse("1.5*x*y/(x+y)")
     scan = angular_bound_scan(f, (1e-3,), 10_000_000)
     assert len(calls) <= 4 and not scan.bounded
-    monkeypatch.setattr(limits, "_array_bounds", lambda expr, boxes: None)
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     assert angular_bound_scan(f, (1e-3,), 10_000_000) == scan
     assert len(calls) > 611
 
