@@ -77,6 +77,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # flags and config keys match exactly, never by prefix
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # route argparse's own complaints to exit code 1
         raise UsageError(message)
 

@@ -626,16 +626,12 @@ def _array_code(expr: Expression) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-# sin, cos, exp, ln and sqrt enclosures are widened at both ends by this
+# sin, cos, tan, exp, ln, sqrt and ^ enclosures are widened at both ends by this
 # relative amount plus 2^-1022: numpy builds and C libraries round them a
 # few ulps (about 1e-16 relative) apart, and subnormal results a few
 # subnormal steps apart.
 _SLACK = 1e-12
 _TINY = 2.0**-1022
-
-
-class _Unbounded(Exception):
-    """A node the interval walk does not bound: tan, or a general power."""
 
 
 def _array_bounds(
@@ -656,9 +652,9 @@ def _array_bounds(
     the boxes: an ln or sqrt argument's upper end is < 0 (strictly: both
     are defined at -0.0) while no node of that argument is unknown there
     (the ends of a node computed from an unknown one can be anything).
-    nan survives every node the walk bounds, so void wins over unknown.
-    A tree with tan or a general ^ (np.power; np.power(nan, 0) is 1)
-    is (-inf, inf) everywhere, never void, whatever the walk saw before.
+    nan survives every node except a general ^ (np.power(nan, 0) and
+    np.power(1, nan) are 1), so void wins over unknown.  tan of a box
+    holding a pole, and a general ^ whose base box reaches 0, are unknown.
     """
     import numpy as np
 
@@ -690,9 +686,12 @@ def _array_bounds(
         odd = m % 2 == 1
         holds, holds_next = m <= qhi, m + 1 <= qhi
         a, b = fn(lo), fn(hi)
+        whole = ~((hi - lo <= np.pi) & (np.maximum(np.abs(lo), np.abs(hi)) <= 2.0**20))
+        if fn is np.tan:
+            # tan increases between its poles, which lie where sin peaks
+            return widen(np.where(whole | holds, -np.inf, a), np.where(whole | holds, np.inf, b))
         low = np.where(holds & odd | holds_next & ~odd, -1.0, np.minimum(a, b))
         high = np.where(holds & ~odd | holds_next & odd, 1.0, np.maximum(a, b))
-        whole = ~((hi - lo <= np.pi) & (np.maximum(np.abs(lo), np.abs(hi)) <= 2.0**20))
         return widen(np.where(whole, -1.0, low), np.where(whole, 1.0, high))
 
     def walk(expr: Expression):
@@ -710,7 +709,12 @@ def _array_bounds(
             if expr.op == "^":
                 power = _small_power(expr)
                 if not power:
-                    raise _Unbounded
+                    # a^b = exp(b*ln a) is monotone in a and in b: its extremes lie at
+                    # the corners; a void operand says nothing, as np.power(nan, 0) is 1
+                    outer = void
+                    a, b = walk(expr.left), walk(expr.right)
+                    void = outer
+                    return widen(*corners(np.power, a, b, a[0] <= 0))
                 lo, hi = walk(expr.left)
                 if power == 3:
                     # a*a*a is odd and increasing under round-to-nearest
@@ -735,8 +739,6 @@ def _array_bounds(
             unknown = outer | unknown
             if expr.func == "abs":
                 return even(lo, hi, np.abs)
-            if expr.func in ("cos", "sin"):
-                return trig(np.cos if expr.func == "cos" else np.sin, lo, hi, 0.0 if expr.func == "cos" else 0.5)
             if expr.func == "exp":
                 return widen(np.exp(lo), np.exp(hi))
             # past their domain log and sqrt give -inf or nan, which node() flags
@@ -744,14 +746,11 @@ def _array_bounds(
                 return widen(np.log(lo), np.log(hi))
             if expr.func == "sqrt":
                 return widen(np.sqrt(lo), np.sqrt(hi))
-            raise _Unbounded
+            return trig(getattr(np, expr.func), lo, hi, 0.0 if expr.func == "cos" else 0.5)
         raise TypeError(f"not an expression node: {expr!r}")
 
     with np.errstate(all="ignore"):
-        try:
-            lo, hi = walk(expr)
-        except _Unbounded:
-            lo, hi, unknown, void = -np.inf, np.inf, np.True_, np.False_
+        lo, hi = walk(expr)
     # shaped like the boxes, as compile_array's result is shaped like its arguments
     shape = np.broadcast_shapes(*(np.shape(end) for box in boxes.values() for end in box))
     lo, hi = np.where(unknown, -np.inf, lo), np.where(unknown, np.inf, hi)

@@ -447,8 +447,7 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     (expr._array_bounds); it is dead when the bound proves every corner
     >= 1e-14, every corner <= -1e-14, or F nan throughout.  No cell of a
     dead tile can be flagged, so the cells are those of a scan that
-    evaluates F everywhere; where no bound is proven (tan, a general ^)
-    every tile is live.
+    evaluates F everywhere.
 
     The disk test squares the coordinates, so R must keep R*R a normal
     double and 2*R*R finite: about 1.5e-154 <= R <= 9.5e153.

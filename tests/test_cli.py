@@ -472,6 +472,12 @@ def test_missing_required_flag_exits_1(capsys):
     assert run(["euler", "--x0", "0", "--y0", "0", "--h", "0.5", "--steps", "2"]) == 1
 
 
+def test_an_abbreviated_flag_is_refused(capsys):
+    # --ste is not taken for --steps, so the required flag is missing
+    assert run(EULER_ARGS[:-2] + ["--ste", "2"]) == 1
+    assert out_of(capsys) == ("", "usage error: the following arguments are required: --steps\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -582,6 +588,14 @@ def test_config_under_cooling_fit(tmp_path, capsys):
     expected = out_of(capsys)
     assert run(["cooling", "fit", "--t1", "0.5", "--config", str(cfg)]) == 0
     assert out_of(capsys) == expected
+
+
+def test_an_abbreviated_config_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tem=40,36,30\n", encoding="utf-8")
+    assert run(["cooling", "fit", "--t1", "0.5", "--config", str(cfg)]) == 1
+    # tem is not taken for temps, so the required flag is missing
+    assert out_of(capsys) == ("", "usage error: the following arguments are required: --temps\n")
 
 
 def test_config_under_cooling_range(tmp_path, capsys):

@@ -443,6 +443,12 @@ _CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 @example(parse("ln(x)+sqrt(y)"), [(-1.0, 1.0, -1.0, 1.0)], [(0.5, 0.5), (0.0, 0.0)])
 # a void ln walked after an unknown sibling
 @example(parse("1/x+ln(-1-y^2)"), [(-1.0, 2.0, -1.0, 2.0)], [(0.5, 0.5), (0.25, 0.75)])
+# a void base or exponent of a general ^, whose lane is 1 (np.power(nan, 0), np.power(1, nan))
+@example(parse("sqrt(-1-x^2)^0"), [(-1.0, 2.0, 0.0, 0.0)], [(0.5, 0.0), (0.25, 0.0)])
+@example(parse("1^sqrt(-1-x^2)"), [(-1.0, 2.0, 0.0, 0.0)], [(0.5, 0.0), (0.25, 0.0)])
+# tan boxes holding a pole, ending at pi/2 rounded down, and starting at -pi/2
+@example(parse("tan(x)+y"), [(1.5, 0.1, 0.0, 0.0), (1.0, math.pi / 2 - 1.0, 0.0, 0.0),
+                             (math.pi / 2, 0.0, 0.0, 0.0), (-math.pi / 2, 0.5, 0.0, 1.0)], [(0.5, 0.5), (0.999, 0.0)])
 @settings(max_examples=400, deadline=None)
 def test_array_bounds_enclose_every_lane_value_inside_the_boxes(tree, boxes, fractions):
     x_lo, x_width, y_lo, y_width = (np.array(column) for column in zip(*boxes))
@@ -472,11 +478,22 @@ def test_array_bounds_leave_room_for_another_librarys_rounding(name):
 
 def test_array_bounds_refuse_what_they_cannot_enclose():
     box = {"x": (np.array([-1.0, 0.5, 0.5]), np.array([1.0, 0.6, 2.0**21]))}
-    # tan, and a general power (np.power), are unknown everywhere, even where
-    # a sqrt walked before them is void
-    for text in ("tan(x)", "x^x", "sqrt(-1-x^2)+tan(x)", "tan(x)+sqrt(-1-x^2)"):
+    # tan of a box holding a pole (pi/2), and a power (np.power) whose base box
+    # reaches 0 or whose corner overflows, are unknown; elsewhere their ends are finite
+    for text, finite in (("tan(x)", [True, True, False]), ("x^x", [False, True, False])):
         lo, hi = _array_bounds(parse(text), box)
-        assert lo.tolist() == [-math.inf] * 3 and hi.tolist() == [math.inf] * 3, text
+        assert np.where(finite, np.isfinite(lo), lo == -math.inf).all(), text
+        assert np.where(finite, np.isfinite(hi), hi == math.inf).all(), text
+    lo, hi = _array_bounds(parse("tan(x)+x^x"), box)
+    assert lo[1] <= math.tan(0.5) + 0.5**0.6 and math.tan(0.6) + 0.6**0.5 <= hi[1] < 2.0
+    # tan of a box holding pi/2 or ending at it, and a power whose base box reaches 0
+    for text, ends in (("tan(x)", ([1.5, 1.0], [1.6, math.pi / 2])), ("x^0.5", ([0.0, -1.0], [1.0, 1.0]))):
+        lo, hi = _array_bounds(parse(text), {"x": (np.array(ends[0]), np.array(ends[1]))})
+        assert lo.tolist() == [-math.inf] * 2 and hi.tolist() == [math.inf] * 2, text
+    # a sqrt proven void stays void beside tan, walked before it or after it
+    for text in ("sqrt(-1-x^2)+tan(x)", "tan(x)+sqrt(-1-x^2)"):
+        lo, hi = _array_bounds(parse(text), box)
+        assert np.isnan(lo).all() and np.isnan(hi).all(), text
     lo, hi = _array_bounds(parse("1/x+ln(x)"), box)
     # a divisor holding 0 and an ln box reaching 0
     assert lo[0] == -math.inf and hi[0] == math.inf

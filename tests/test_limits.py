@@ -524,7 +524,7 @@ def _hostile_fields(draw):
         "x*y", f"x-({lattice!r})",  # exact zeros on lattice lines
         "-(x*y)", "x*0-y",  # zeros of either sign
         "x^2+1e-15", "x^2+2e-14",  # just inside and outside the near-zero bound
-        "tan(3*x)-y", "x^y-0.5",  # no bound is proven: every tile is live
+        "tan(3*x)-y", "x^y-0.5",  # unknown where a tile holds a pole of tan or its base reaches 0
     ]))
     return text, R, grid_n
 
@@ -790,6 +790,17 @@ def test_the_saddle_at_ten_million_angles_evaluates_a_handful_of_chunks(monkeypa
     monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     assert angular_bound_scan(f, (1e-3,), 10_000_000) == scan
     assert len(calls) > 611
+
+
+def test_tan_fields_evaluate_a_handful_of_chunks(monkeypatch):
+    # tan's box is unknown only where it holds a pole; x*y stays far from one
+    calls = _counting_compile(monkeypatch)
+    f = parse("tan(x*y)+x")
+    scan = angular_bound_scan(f, (0.1, 1e-3), 1_000_000)
+    assert len(calls) <= 16
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
+    assert angular_bound_scan(f, (0.1, 1e-3), 1_000_000) == scan
+    assert len(calls) > 124
 
 
 def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):

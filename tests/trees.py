@@ -16,7 +16,7 @@ _LEAVES = st.one_of(
 
 @st.composite
 def trees(draw, depth: int = 4):
-    """Random trees of at most `depth` levels; ^ mostly takes the exponents 2, 3 and 4."""
+    """Random trees of at most `depth` levels; ^ takes the exponent 2, 3, 4 or a subtree, alike."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         return draw(_LEAVES)
     kind = draw(st.sampled_from(["-x", "+", "-", "*", "/", "^", "call"]))
@@ -25,6 +25,6 @@ def trees(draw, depth: int = 4):
     if kind == "call":
         return Call(draw(st.sampled_from(sorted(FUNCTIONS))), draw(trees(depth - 1)))
     left = draw(trees(depth - 1))
-    if kind == "^" and draw(st.integers(0, 4)):
+    if kind == "^" and draw(st.integers(0, 3)):
         return Binary("^", left, Literal(draw(st.sampled_from([2.0, 3.0, 4.0]))))
     return Binary(kind, left, draw(trees(depth - 1)))
