@@ -658,99 +658,86 @@ def _array_bounds(
     """
     import numpy as np
 
-    unknown = void = np.False_
+    ns = _array_namespace()
 
-    def node(lo, hi, leaves_domain=np.False_):
-        nonlocal unknown
-        unknown = unknown | leaves_domain | ~(np.isfinite(lo) & np.isfinite(hi))
-        return lo, hi
+    def node(lo, hi, unknown, void):
+        # a node is unknown where an operand is or where its own ends are not finite
+        return lo, hi, unknown | ~(np.isfinite(lo) & np.isfinite(hi)), void
 
-    def widen(lo, hi):
-        return node(lo - (np.abs(lo) * _SLACK + _TINY), hi + (np.abs(hi) * _SLACK + _TINY))
+    def widen(lo, hi, unknown, void):
+        return node(lo - (np.abs(lo) * _SLACK + _TINY), hi + (np.abs(hi) * _SLACK + _TINY), unknown, void)
 
-    def corners(op, a, b, leaves_domain=np.False_):
-        ends = [op(p, q) for p in a for q in b]
-        return node(np.minimum(np.minimum(*ends[:2]), np.minimum(*ends[2:])),
-                    np.maximum(np.maximum(*ends[:2]), np.maximum(*ends[2:])), leaves_domain)
+    def corners(op, a, b):
+        ends = [op(p, q) for p in a[:2] for q in b[:2]]
+        return (np.minimum(np.minimum(*ends[:2]), np.minimum(*ends[2:])),
+                np.maximum(np.maximum(*ends[:2]), np.maximum(*ends[2:])))
 
-    def even(lo, hi, fn):
+    def even(fn, lo, hi):
         # an even function increasing in |t|: zero is its least value
         a, b = fn(lo), fn(hi)
-        return node(np.where((lo > 0) | (hi < 0), np.minimum(a, b), 0.0), np.maximum(a, b))
+        return np.where((lo > 0) | (hi < 0), np.minimum(a, b), 0.0), np.maximum(a, b)
 
-    def trig(fn, lo, hi, shift):
+    def trig(name, lo, hi):
         # the extremes lie where q = t/pi - shift is an integer m, valued (-1)^m;
         # a box no wider than pi holds at most the first two at or after lo
+        shift = 0.0 if name == "cos" else 0.5
         qlo, qhi = lo / np.pi - shift - 1e-6, hi / np.pi - shift + 1e-6
         m = np.ceil(qlo)
         odd = m % 2 == 1
         holds, holds_next = m <= qhi, m + 1 <= qhi
-        a, b = fn(lo), fn(hi)
+        a, b = ns[f"F{name}"](lo), ns[f"F{name}"](hi)
         whole = ~((hi - lo <= np.pi) & (np.maximum(np.abs(lo), np.abs(hi)) <= 2.0**20))
-        if fn is np.tan:
+        if name == "tan":
             # tan increases between its poles, which lie where sin peaks
-            return widen(np.where(whole | holds, -np.inf, a), np.where(whole | holds, np.inf, b))
+            return np.where(whole | holds, -np.inf, a), np.where(whole | holds, np.inf, b)
         low = np.where(holds & odd | holds_next & ~odd, -1.0, np.minimum(a, b))
         high = np.where(holds & ~odd | holds_next & odd, 1.0, np.maximum(a, b))
-        return widen(np.where(whole, -1.0, low), np.where(whole, 1.0, high))
+        return np.where(whole, -1.0, low), np.where(whole, 1.0, high)
 
     def walk(expr: Expression):
-        nonlocal unknown, void
         if isinstance(expr, Literal):
             value = np.float64(expr.value)
-            return node(value, value)
+            return node(value, value, np.False_, np.False_)
         if isinstance(expr, Variable):
-            lo, hi = boxes[expr.name]
-            return node(lo, hi)
+            return node(*boxes[expr.name], np.False_, np.False_)
         if isinstance(expr, Unary):
-            lo, hi = walk(expr.operand)
-            return -hi, -lo
-        if isinstance(expr, Binary):
-            if expr.op == "^":
-                power = _small_power(expr)
-                if not power:
-                    # a^b = exp(b*ln a) is monotone in a and in b: its extremes lie at
-                    # the corners; a void operand says nothing, as np.power(nan, 0) is 1
-                    outer = void
-                    a, b = walk(expr.left), walk(expr.right)
-                    void = outer
-                    return widen(*corners(np.power, a, b, a[0] <= 0))
-                lo, hi = walk(expr.left)
-                if power == 3:
-                    # a*a*a is odd and increasing under round-to-nearest
-                    return node(lo * lo * lo, hi * hi * hi)
-                lo, hi = even(lo, hi, np.square)
-                return even(lo, hi, np.square) if power == 4 else (lo, hi)
-            a, b = walk(expr.left), walk(expr.right)
-            if expr.op == "+":
-                return node(a[0] + b[0], a[1] + b[1])
-            if expr.op == "-":
-                return node(a[0] - b[1], a[1] - b[0])
-            if expr.op == "*":
-                return corners(np.multiply, a, b)
-            return corners(np.divide, a, b, (b[0] <= 0) & (b[1] >= 0))
+            lo, hi, unknown, void = walk(expr.operand)
+            return -hi, -lo, unknown, void
         if isinstance(expr, Call):
-            # the argument's own flag: an unknown sibling says nothing of its ends
-            outer, unknown = unknown, np.False_
-            lo, hi = walk(expr.arg)
+            lo, hi, unknown, void = walk(expr.arg)
+            fn = ns[f"F{expr.func}"]
+            if expr.func == "abs":
+                return node(*even(fn, lo, hi), unknown, void)
             if expr.func in ("ln", "sqrt"):
                 # an argument proven below 0 leaves the lane nan at every point
                 void = void | (hi < 0) & ~unknown
-            unknown = outer | unknown
-            if expr.func == "abs":
-                return even(lo, hi, np.abs)
-            if expr.func == "exp":
-                return widen(np.exp(lo), np.exp(hi))
-            # past their domain log and sqrt give -inf or nan, which node() flags
-            if expr.func == "ln":
-                return widen(np.log(lo), np.log(hi))
-            if expr.func == "sqrt":
-                return widen(np.sqrt(lo), np.sqrt(hi))
-            return trig(getattr(np, expr.func), lo, hi, 0.0 if expr.func == "cos" else 0.5)
-        raise TypeError(f"not an expression node: {expr!r}")
+            if expr.func in ("exp", "ln", "sqrt"):
+                # increasing; past their domain ln and sqrt give -inf or nan, which node() flags
+                return widen(fn(lo), fn(hi), unknown, void)
+            return widen(*trig(expr.func, lo, hi), unknown, void)
+        if not isinstance(expr, Binary):
+            raise TypeError(f"not an expression node: {expr!r}")
+        if expr.op == "^" and (power := _small_power(expr)):
+            # multiplications are monotone under round-to-nearest: ^3 is odd, ^2 and ^4 even
+            lo, hi, unknown, void = walk(expr.left)
+            P = ns[f"POW{power}"]
+            return node(*(even(P, lo, hi) if power % 2 == 0 else (P(lo), P(hi))), unknown, void)
+        a, b = walk(expr.left), walk(expr.right)
+        unknown, void = a[2] | b[2], a[3] | b[3]
+        if expr.op == "+":
+            return node(a[0] + b[0], a[1] + b[1], unknown, void)
+        if expr.op == "-":
+            return node(a[0] - b[1], a[1] - b[0], unknown, void)
+        if expr.op == "*":
+            return node(*corners(np.multiply, a, b), unknown, void)
+        if expr.op == "/":
+            return node(*corners(np.divide, a, b), unknown | (b[0] <= 0) & (b[1] >= 0), void)
+        # a^b = exp(b*ln a) is monotone in a and in b: its extremes lie at the corners.
+        # It is never void, as np.power(nan, 0) and np.power(1, nan) are 1
+        return widen(*corners(ns["POW"], a, b), unknown | (a[0] <= 0), np.False_)
 
     with np.errstate(all="ignore"):
-        lo, hi = walk(expr)
+        lo, hi, unknown, void = walk(expr)
     # shaped like the boxes, as compile_array's result is shaped like its arguments
     shape = np.broadcast_shapes(*(np.shape(end) for box in boxes.values() for end in box))
     lo, hi = np.where(unknown, -np.inf, lo), np.where(unknown, np.inf, hi)
