@@ -717,11 +717,14 @@ def _array_bounds(
             return widen(*trig(expr.func, lo, hi), unknown, void)
         if not isinstance(expr, Binary):
             raise TypeError(f"not an expression node: {expr!r}")
-        if expr.op == "^" and (power := _small_power(expr)):
-            # multiplications are monotone under round-to-nearest: ^3 is odd, ^2 and ^4 even
+        n = expr.right.value if expr.op == "^" and isinstance(expr.right, Literal) else 0.0
+        if n >= 1 and float(n).is_integer():
+            # t^n is odd or even like n and increasing in |t|: ^2, ^3 and ^4 multiply, which
+            # round-to-nearest keeps monotone, and np.power is widened like the general ^
             lo, hi, unknown, void = walk(expr.left)
-            P = ns[f"POW{power}"]
-            return node(*(even(P, lo, hi) if power % 2 == 0 else (P(lo), P(hi))), unknown, void)
+            power = _small_power(expr)
+            P = ns[f"POW{power}"] if power else lambda t: ns["POW"](t, np.float64(n))
+            return (node if power else widen)(*(even(P, lo, hi) if n % 2 == 0 else (P(lo), P(hi))), unknown, void)
         a, b = walk(expr.left), walk(expr.right)
         unknown, void = a[2] | b[2], a[3] | b[3]
         if expr.op == "+":

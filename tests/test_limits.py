@@ -803,6 +803,17 @@ def test_tan_fields_evaluate_a_handful_of_chunks(monkeypatch):
     assert len(calls) > 124
 
 
+def test_integer_power_fields_evaluate_a_handful_of_chunks(monkeypatch):
+    # t^5 is odd and increasing, so a chunk's box is bounded though it holds t < 0
+    calls = _counting_compile(monkeypatch)
+    f = parse("x^5+y^5")
+    scan = angular_bound_scan(f, (0.1, 1e-3), 1_000_000)
+    assert len(calls) <= 16
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
+    assert angular_bound_scan(f, (0.1, 1e-3), 1_000_000) == scan
+    assert len(calls) > 124
+
+
 def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     # 1 + 0*x is bounded by exactly 1 on every chunk: only a bound strictly
     # below the running maximum lets a chunk go unevaluated

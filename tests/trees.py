@@ -16,7 +16,7 @@ _LEAVES = st.one_of(
 
 @st.composite
 def trees(draw, depth: int = 4):
-    """Random trees of at most `depth` levels; ^ takes the exponent 2, 3, 4 or a subtree, alike."""
+    """Random trees of at most `depth` levels; ^ takes a positive integer literal exponent or a subtree, alike."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         return draw(_LEAVES)
     kind = draw(st.sampled_from(["-x", "+", "-", "*", "/", "^", "call"]))
@@ -26,5 +26,5 @@ def trees(draw, depth: int = 4):
         return Call(draw(st.sampled_from(sorted(FUNCTIONS))), draw(trees(depth - 1)))
     left = draw(trees(depth - 1))
     if kind == "^" and draw(st.integers(0, 3)):
-        return Binary("^", left, Literal(draw(st.sampled_from([2.0, 3.0, 4.0]))))
+        return Binary("^", left, Literal(draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1e300]))))
     return Binary(kind, left, draw(trees(depth - 1)))
