@@ -465,6 +465,23 @@ def test_array_bounds_enclose_every_lane_value_inside_the_boxes(tree, boxes, fra
         assert np.isnan(values[void]).all(), (u, v)
 
 
+@given(
+    trees(),
+    trees(),
+    st.sampled_from(["+", "*"]),
+    st.lists(st.tuples(_ENDS, _WIDTHS, _ENDS, _WIDTHS), min_size=1, max_size=8),
+)
+# a void ln beside an unknown sibling: one flag shared by the whole walk would mark it void in one order only
+@example(parse("ln(x)"), parse("1e300^2"), "+", [(-2.0, 1.0, 0.0, 0.0)])
+@settings(max_examples=300, deadline=None)
+def test_array_bounds_do_not_depend_on_operand_order(left, right, op, boxes):
+    x_lo, x_width, y_lo, y_width = (np.array(column) for column in zip(*boxes))
+    box = {"x": (x_lo, x_lo + x_width), "y": (y_lo, y_lo + y_width)}
+    ends = _array_bounds(Binary(op, left, right), box)
+    swapped = _array_bounds(Binary(op, right, left), box)
+    assert all(np.array_equal(p, q, equal_nan=True) for p, q in zip(ends, swapped))
+
+
 @pytest.mark.parametrize("name", ["sin", "cos", "exp", "ln", "sqrt"])
 def test_array_bounds_leave_room_for_another_librarys_rounding(name):
     # numpy builds and C libraries round these a few ulps apart, so an
