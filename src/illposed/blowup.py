@@ -170,8 +170,8 @@ def estimate_blowup(
 ) -> BlowupReport:
     """Refinement study of threshold crossings on [x0, x_max].
 
-    Runs threshold_crossing at h0, h0/2, ..., h0/2^(levels-1) with
-    forward Euler, then repeats the study with RK4.  BlowupDetected
+    Runs the per-level runner _level at h0, h0/2, ..., h0/2^(levels-1)
+    with forward Euler, then repeats the study with RK4.  BlowupDetected
     requires every Euler level to cross with crossings Cauchy-decreasing
     and RK4 to agree qualitatively; BoundedOnInterval requires no level
     of either integrator to cross.  Everything else is Inconclusive,

@@ -641,20 +641,27 @@ def _array_bounds(
 
     `boxes` maps each variable to numpy arrays of lower and upper ends,
     which broadcast together.  The walk repeats the lane's operations on
-    the ends, in its order: + - * / left to right, ^2, ^3 and ^4 by
-    multiplication.  IEEE round-to-nearest is monotone, so ends computed
-    in floats enclose the float result at every point inside the boxes.
-    sin and cos of a box wider than pi, or with an end beyond 2^20 in
-    magnitude, are [-1, 1].  An element is (-inf, inf) where no finite
-    enclosure is proven: an end at some node is not finite, a divisor
-    box holds 0, or an ln or sqrt box reaches past its domain.  An
-    element is (nan, nan), void, where the lane is nan at every point of
-    the boxes: an ln or sqrt argument's upper end is < 0 (strictly: both
-    are defined at -0.0) while no node of that argument is unknown there
-    (the ends of a node computed from an unknown one can be anything).
-    nan survives every node except a general ^ (np.power(nan, 0) and
-    np.power(1, nan) are 1), so void wins over unknown.  tan of a box
-    holding a pole, and a general ^ whose base box reaches 0, are unknown.
+    the ends, in its order and with the lane's own functions: + - * /
+    left to right, ^2, ^3 and ^4 by multiplication.  IEEE
+    round-to-nearest is monotone, so ends computed in floats enclose the
+    float result at every point inside the boxes.  sin and cos of a box
+    wider than pi, or with an end beyond 2^20 in magnitude, are [-1, 1].
+    t^n for a positive integer literal n is odd or even like n and
+    increasing in |t|; any other ^ takes the extremes of its corners.
+
+    Each node returns its ends and two flags of its own subtree, built
+    from its operands' alone.  It is unknown where some node of the
+    subtree has an end that is not finite (as ln and sqrt have past
+    their domain), a divisor box holding 0, a tan box holding a pole,
+    or a base box reaching 0 under an exponent that is not a positive
+    integer literal.  It is void where the lane is nan at every point
+    of the boxes: an ln or sqrt argument's upper end is < 0 (strictly:
+    both are defined at -0.0) while the argument is not unknown (the
+    ends of a node computed from an unknown one can be anything).  nan
+    survives every node except a general ^ (np.power(nan, 0) and
+    np.power(1, nan) are 1), which drops its operands' void.  At the
+    root an element is (nan, nan) where void, else (-inf, inf) where
+    unknown.
     """
     import numpy as np
 

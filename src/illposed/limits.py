@@ -8,9 +8,11 @@ that settle on different values witness non-existence, while agreement
 is reported as consistent but explicitly non-conclusive.
 
 Two dense scans complement the path probes: a polar sweep bounding
-max_{angle} |f| on shrinking circles, and a sign-change cell scan that
-locates the zero set of an implicit curve F(x, y) = 0 away from the
-origin (useful when an equation hides an isolated solution point).
+max_{angle} |f| on shrinking circles, and a cell scan that flags the
+cells of an implicit curve F(x, y) = 0 away from the origin where F
+changes sign or a corner has |F| < 1e-14.  A zero that F only touches,
+such as the isolated zero of a sum of squares, changes no sign and is
+missed (ROADMAP item 14).
 """
 
 from __future__ import annotations
