@@ -80,9 +80,9 @@ DIVERGENCE_CAP = 1e12
 AGREEMENT_TOL = 1e-4
 ANGULAR_CAP = 1e6
 
-# Angles per polar scan chunk.  16,384 doubles make 128 KB temporaries,
-# and a chunk is the unit the interval bound skips: the 10M-angle saddle
-# evaluates 2 of its 611 chunks.
+# Angles per polar scan chunk, the unit f is evaluated on: the live boxes
+# of a chunk are gathered into one array of at most 16,384 doubles, which
+# make 128 KB temporaries.
 _SCAN_CHUNK = 16_384
 # Lattice points per implicit-scan row block.  On a 2-vCPU Xeon host
 # (2 MiB L2 per core) the five dense-scan benchmark fields took 59.7,
@@ -95,9 +95,19 @@ _ROW_BLOCK = 49_152
 # _TILE cell columns, and one interval bound decides whether F is
 # evaluated on it.
 _TILE = 16
-# Chunks whose |f| bounds the polar scan works out at a time, so the bound
-# arrays hold len(radii) x 1024 entries whatever the angle count.
+# Chunks whose |f| bounds the polar scan works out at a time.  A circle
+# split into chunks of several boxes has at most 1,024 boxes, so a pass
+# bounds at most 1,024 boxes and its bound arrays hold len(radii) x 1024
+# entries whatever the angle count.
 _BOUND_BLOCK = 1024
+# The fewest angles in a polar scan box, the unit the interval bound skips.
+# A box is the smallest power of two of at least _MIN_BOX angles that lets
+# _BOUND_BLOCK boxes cover the circle, capped at _SCAN_CHUNK: 1,024 angles
+# up to 1,048,576 angles, and one box per chunk from 8,388,609 angles on
+# (the 10M-angle saddle evaluates 2 of its 611 chunks).  On a 2-vCPU host
+# the eight benchmark cubics at 1M angles took 25.3, 26.3 and 29.6 ms in
+# all (medians of 30) with floors of 1,024, 2,048 and 4,096.
+_MIN_BOX = 1024
 # x = r*cos(t) and y = r*sin(t), the products the polar scan evaluates f on
 _POLAR_X = Binary("*", Variable("r"), Call("cos", Variable("t")))
 _POLAR_Y = Binary("*", Variable("r"), Call("sin", Variable("t")))
@@ -378,12 +388,19 @@ def angular_bound_scan(
     matters: a pole hiding between grid angles needs n_angles on the
     order of the cap before the ratio test can see it.
 
-    The scan bounds |f| over blocks of angle chunks by interval
-    arithmetic on the numpy lane (expr._array_bounds), visits each
-    block's chunks by descending bound, and skips a chunk at a radius
-    when its bound is strictly below the running maximum there.
-    A skipped chunk cannot hold the maximum, so the rows are byte for
-    byte those of a scan that evaluates f at every angle.
+    The scan bounds |f| over boxes of angles by interval arithmetic on
+    the numpy lane (expr._array_bounds), at most _BOUND_BLOCK boxes per pass.
+    A chunk is a whole number of boxes and its bound is the max of
+    theirs.  A pass visits its chunks by descending bound and stops at
+    the first whose bound is below every radius's running maximum,
+    since no later chunk can raise one.  A box is live at a radius when
+    its bound is at least the running maximum there.  A chunk live at
+    some radius gathers the boxes live at any of those radii into one
+    array, computes cos and sin on it once, and evaluates f on it at
+    each of them.  A box that is not live cannot hold the maximum, and
+    each angle is computed as a scan of the whole circle computes it,
+    so the rows are byte for byte those of a scan that evaluates f at
+    every angle.
     """
     _check.variables("f", ("x", "y"), f)
     rs = _check.decreasing("radii", radii)
@@ -393,28 +410,41 @@ def angular_bound_scan(
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
-    starts = range(0, n_angles, _SCAN_CHUNK)
+    # at least n_angles / _BOUND_BLOCK angles to a box, unless one box fills a chunk
+    box = min(_SCAN_CHUNK, max(_MIN_BOX, 1 << (-(-n_angles // _BOUND_BLOCK) - 1).bit_length()))
+    per_chunk = _SCAN_CHUNK // box
+    n_boxes = -(-n_angles // box)
     r_column = np.array(rs).reshape(-1, 1)
 
     worst = [0.0] * len(rs)
-    for i in range(0, len(starts), _BOUND_BLOCK):
-        block = starts[i : i + _BOUND_BLOCK]
-        first = np.asarray(block, dtype=float)
-        last = np.minimum(first + _SCAN_CHUNK, n_angles) - 1.0
-        # the chunk's first and last angles, computed as the chunk computes them
+    for b0 in range(0, n_boxes, _BOUND_BLOCK * per_chunk):
+        first = np.arange(b0, min(b0 + _BOUND_BLOCK * per_chunk, n_boxes), dtype=float) * box
+        last = np.minimum(first + box, n_angles) - 1.0
+        # the box's first and last angles, computed as the gather computes them
         polar = {"r": (r_column, r_column), "t": ((first + 0.5) * cell, (last + 0.5) * cell)}
         lo, hi = _array_bounds(f, {"x": _array_bounds(_POLAR_X, polar), "y": _array_bounds(_POLAR_Y, polar)})
-        # an upper bound on |f| for each radius and chunk; a void chunk is nan
+        # an upper bound on |f| for each radius and box; a void box is nan
         # at every angle, so its max is inf: never skipped
         bound = np.maximum(np.abs(lo), np.abs(hi))
         bound = np.where(np.isnan(bound), math.inf, bound)
-        for c in np.argsort(-bound.max(axis=0), kind="stable").tolist():
-            need = [k for k, m in enumerate(worst) if m < math.inf and bound[k, c] >= m]
+        # a chunk's bound is the max of its boxes' bounds
+        ceiling = np.maximum.reduceat(bound.max(axis=0), np.arange(0, bound.shape[1], per_chunk))
+        for c in np.argsort(-ceiling, kind="stable").tolist():
+            if ceiling[c] < min(worst):
+                # visited by descending bound, so no later chunk can raise a maximum
+                break
+            # a box is live at a radius when its bound is at least the running max there;
+            # as nan that max makes nothing live at a radius whose max is already inf
+            limit = np.array([m if m < math.inf else math.nan for m in worst]).reshape(-1, 1)
+            live = bound[:, c * per_chunk : (c + 1) * per_chunk] >= limit
+            need = np.flatnonzero(live.any(axis=1)).tolist()
             if not need:
                 continue
-            # one cos/sin per angle chunk, shared by every radius
-            start = block[c]
-            angles = (np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float) + 0.5) * cell
+            # the boxes live at some radius, gathered into one array
+            start = (b0 + c * per_chunk) * box
+            index = np.arange(start, min(start + live.shape[1] * box, n_angles), dtype=float)
+            angles = (index[np.repeat(live.any(axis=0), box)[: len(index)]] + 0.5) * cell
+            # one cos/sin per chunk, shared by every radius that needs it
             cos, sin = np.cos(angles), np.sin(angles)
             for k in need:
                 # kept alive until the next chunk's values exist: freed at the heap
@@ -466,7 +496,8 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     squares = centres**2
     spans_zero = (xs[:-1] <= 0.0) & (xs[1:] >= 0.0)
     fn = compile_array(F, ("x", "y"))
-    cells: list[tuple[float, float]] = []
+    # the flagged cells' lattice indices, block by block in row order and row-major within
+    flagged_i, flagged_j = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
 
     def any_corner(points):
         rows = points[:-1] | points[1:]
@@ -506,10 +537,11 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
             # is all >= 1e-14, all <= -1e-14 or all nan
             i, k = np.divmod(np.flatnonzero(candidate), len(cols) - 1)
             finite = np.isfinite(values[[i, i + 1, i, i + 1], [k, k, k + 1, k + 1]]).all(axis=0)
-            i, j = i[finite] + i0, cols[k[finite]]
-            keep = ~(spans_zero[i] & spans_zero[j]) & (squares[i] + squares[j] <= R * R)
-            cells.extend(zip(centres[i[keep]].tolist(), centres[j[keep]].tolist()))
-    return cells
+            flagged_i.append(i[finite] + i0)
+            flagged_j.append(cols[k[finite]])
+    i, j = np.concatenate(flagged_i), np.concatenate(flagged_j)
+    keep = ~(spans_zero[i] & spans_zero[j]) & (squares[i] + squares[j] <= R * R)
+    return list(zip(centres[i[keep]].tolist(), centres[j[keep]].tolist()))
 
 
 # --- renderers --------------------------------------------------------------
@@ -558,11 +590,8 @@ def polar_csv(scan: AngularScan, round_to: int | None = None) -> str:
 
 def implicit_csv(cells: Sequence[tuple[float, float]], round_to: int | None = None) -> str:
     """The cell centres, each distinct value formatted once: a lattice's centres repeat across its cells."""
-    columns = []
-    for values in zip(*cells):
-        # as float keys 0.0 and -0.0 would merge (0.0 == -0.0), so a zero is keyed by its text
-        keys = [v or str(v) for v in values]
-        distinct = dict.fromkeys(keys)
-        text = dict(zip(distinct, column(map(float, distinct), round_to)))
-        columns.append([text[k] for k in keys])
-    return csv_text((), "cell_x,cell_y", *columns)
+    # as float keys 0.0 and -0.0 would merge (0.0 == -0.0), so a zero is keyed by its text
+    columns = [[v or str(v) for v in values] for values in zip(*cells)]
+    distinct = set().union(*columns)
+    text = dict(zip(distinct, column(map(float, distinct), round_to)))
+    return csv_text((), "cell_x,cell_y", *(map(text.__getitem__, keys) for keys in columns))

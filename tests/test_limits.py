@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trees import trees
 
@@ -814,6 +814,29 @@ def test_integer_power_fields_evaluate_a_handful_of_chunks(monkeypatch):
     assert len(calls) > 124
 
 
+def test_the_readme_cubic_evaluates_only_its_live_boxes(monkeypatch):
+    # 1,024-angle boxes, 16 to a chunk: the chunk bound of one box per chunk cost 722,048 points
+    calls = _counting_compile(monkeypatch)
+    f = parse(CUBIC)
+    scan = angular_bound_scan(f, (0.1, 1e-4), 1_000_000)
+    assert sum(calls) <= 131_072
+    del calls[:]
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
+    assert angular_bound_scan(f, (0.1, 1e-4), 1_000_000) == scan
+    assert sum(calls) == 2 * 1_000_000
+
+
+@pytest.mark.parametrize("n_angles, chunk, min_box", [(2501, 64, 8), (4096, 1024, 64)])
+def test_radii_whose_maxima_lie_apart_keep_their_own_live_boxes(monkeypatch, n_angles, chunk, min_box):
+    # |f| peaks near 276 degrees at r = 0.5, where -1e-2*y^3 wins, and near 60 degrees at
+    # r = 0.1, where 1e-4*y wins.  So a chunk visited later must gather boxes live at
+    # r = 0.1 alone, and the visit may not stop while r = 0.1's maximum can still rise
+    monkeypatch.setattr(limits, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(limits, "_MIN_BOX", min_box)
+    f, radii = parse("x+10*y^2+1e-4*y-1e-2*y^3"), (0.5, 0.1)
+    assert angular_bound_scan(f, radii, n_angles) == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
+
+
 def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     # 1 + 0*x is bounded by exactly 1 on every chunk: only a bound strictly
     # below the running maximum lets a chunk go unevaluated
@@ -827,15 +850,20 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     trees(),
     st.sets(st.sampled_from([1e150, 2.0, 0.5, 1e-3, 1e-150]), min_size=1).map(lambda rs: sorted(rs, reverse=True)),
     st.integers(361, 20_011),
-    st.sampled_from([16, 64, 500]),
-    st.sampled_from([2, 1024]),
+    st.sampled_from([16, 64, 500, 4096]),
+    st.sampled_from([2, 16, 1024]),
+    st.sampled_from([1024, 8, 1]),
 )
+# 313 boxes of 8 angles, the last of 5, make 40 chunks of 8 boxes, the last of 1
+@example(parse(CUBIC), [0.5, 1e-3], 2501, 64, 1024, 8)
 @settings(max_examples=150, deadline=None)
-def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block):
-    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4
+def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block, min_box):
+    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4.  A _MIN_BOX
+    # below 1,024 gives these small circles chunks of several boxes
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(limits, "_SCAN_CHUNK", chunk)
         patch.setattr(limits, "_BOUND_BLOCK", block)
+        patch.setattr(limits, "_MIN_BOX", min_box)
         scan = angular_bound_scan(f, radii, n_angles)
     assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
 
