@@ -815,7 +815,7 @@ def test_integer_power_fields_evaluate_a_handful_of_chunks(monkeypatch):
 
 
 def test_the_readme_cubic_evaluates_only_its_live_boxes(monkeypatch):
-    # 1,024-angle boxes, 16 to a chunk: the chunk bound of one box per chunk cost 722,048 points
+    # 1,024-angle boxes, 16 to a chunk; bounding whole chunks instead evaluates 722,048 points
     calls = _counting_compile(monkeypatch)
     f = parse(CUBIC)
     scan = angular_bound_scan(f, (0.1, 1e-4), 1_000_000)
