@@ -826,17 +826,6 @@ def test_the_readme_cubic_evaluates_only_its_live_boxes(monkeypatch):
     assert sum(calls) == 2 * 1_000_000
 
 
-@pytest.mark.parametrize("n_angles, chunk, min_box", [(2501, 64, 8), (4096, 1024, 64)])
-def test_radii_whose_maxima_lie_apart_keep_their_own_live_boxes(monkeypatch, n_angles, chunk, min_box):
-    # |f| peaks near 276 degrees at r = 0.5, where -1e-2*y^3 wins, and near 60 degrees at
-    # r = 0.1, where 1e-4*y wins.  So a chunk visited later must gather boxes live at
-    # r = 0.1 alone, and the visit may not stop while r = 0.1's maximum can still rise
-    monkeypatch.setattr(limits, "_SCAN_CHUNK", chunk)
-    monkeypatch.setattr(limits, "_MIN_BOX", min_box)
-    f, radii = parse("x+10*y^2+1e-4*y-1e-2*y^3"), (0.5, 0.1)
-    assert angular_bound_scan(f, radii, n_angles) == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
-
-
 def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     # 1 + 0*x is bounded by exactly 1 on every chunk: only a bound strictly
     # below the running maximum lets a chunk go unevaluated
@@ -856,6 +845,11 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
 )
 # 313 boxes of 8 angles, the last of 5, make 40 chunks of 8 boxes, the last of 1
 @example(parse(CUBIC), [0.5, 1e-3], 2501, 64, 1024, 8)
+# |f| peaks near 276 degrees at r = 0.5, where -1e-2*y^3 wins, and near 60 degrees at
+# r = 0.1, where 1e-4*y wins.  So a chunk visited later must gather boxes live at
+# r = 0.1 alone, and the visit may not stop while r = 0.1's maximum can still rise
+@example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 2501, 64, 1024, 8)
+@example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 4096, 1024, 1024, 64)
 @settings(max_examples=150, deadline=None)
 def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block, min_box):
     # 1e150 and 1e-150 reach the overflow and underflow edges of ^4.  A _MIN_BOX
