@@ -101,13 +101,14 @@ _TILE = 16
 # entries whatever the angle count.
 _BOUND_BLOCK = 1024
 # The fewest angles in a polar scan box, the unit the interval bound skips.
-# A box is the smallest power of two of at least _MIN_BOX angles that lets
-# _BOUND_BLOCK boxes cover the circle, capped at _SCAN_CHUNK: 1,024 angles
-# up to 1,048,576 angles, and one box per chunk from 8,388,609 angles on
-# (the 10M-angle saddle evaluates 2 of its 611 chunks).  On a 2-vCPU host
-# the eight benchmark cubics at 1M angles took 25.3, 26.3 and 29.6 ms in
-# all (medians of 30) with floors of 1,024, 2,048 and 4,096.
-_MIN_BOX = 1024
+# A box is a chunk halved while the half holds _MIN_BOX angles and a
+# _BOUND_BLOCK-th of the circle: 256 angles up to 262,144 angles, 1,024 at
+# 1M, and one box per chunk from 8,388,609 angles on (the 10M-angle saddle
+# evaluates 2 of its 611 chunks).  With the README cubic at the default
+# radii on a 2-vCPU host (in-process medians of 300, 100 and 60), floors
+# of 1, 256 and 1,024 took 1.03, 0.57 and 0.57 ms at 720 angles, 3.06,
+# 2.35 and 3.12 ms at 30,000 and 3.50, 3.19 and 3.83 ms at 100,000.
+_MIN_BOX = 256
 # x = r*cos(t) and y = r*sin(t), the products the polar scan evaluates f on
 _POLAR_X = Binary("*", Variable("r"), Call("cos", Variable("t")))
 _POLAR_Y = Binary("*", Variable("r"), Call("sin", Variable("t")))
@@ -389,18 +390,17 @@ def angular_bound_scan(
     order of the cap before the ratio test can see it.
 
     The scan bounds |f| over boxes of angles by interval arithmetic on
-    the numpy lane (expr._array_bounds), at most _BOUND_BLOCK boxes per pass.
-    A chunk is a whole number of boxes and its bound is the max of
-    theirs.  A pass visits its chunks by descending bound and stops at
-    the first whose bound is below every radius's running maximum,
-    since no later chunk can raise one.  A box is live at a radius when
-    its bound is at least the running maximum there.  A chunk live at
-    some radius gathers the boxes live at any of those radii into one
-    array, computes cos and sin on it once, and evaluates f on it at
-    each of them.  A box that is not live cannot hold the maximum, and
-    each angle is computed as a scan of the whole circle computes it,
-    so the rows are byte for byte those of a scan that evaluates f at
-    every angle.
+    the numpy lane (expr._array_bounds), at most _BOUND_BLOCK boxes per
+    pass.  A chunk is a whole number of boxes, and its bound at a radius
+    is the max of its boxes' bounds there.  A pass visits its chunks by
+    descending bound and evaluates a chunk at each radius where that
+    bound is at least the running maximum.  A box is live when its bound
+    is at least the running maximum at one of those radii; the live
+    boxes are gathered into one array, cos and sin are computed on it
+    once, and f is evaluated on it at each of those radii.  A box that
+    is not live cannot hold the maximum, and each angle is computed as a
+    scan of the whole circle computes it, so the rows are byte for byte
+    those of a scan that evaluates f at every angle.
     """
     _check.variables("f", ("x", "y"), f)
     rs = _check.decreasing("radii", radii)
@@ -410,8 +410,11 @@ def angular_bound_scan(
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
-    # at least n_angles / _BOUND_BLOCK angles to a box, unless one box fills a chunk
-    box = min(_SCAN_CHUNK, max(_MIN_BOX, 1 << (-(-n_angles // _BOUND_BLOCK) - 1).bit_length()))
+    # a chunk halved while the half still holds _MIN_BOX angles and a
+    # _BOUND_BLOCK-th of the circle, so a chunk is a whole number of boxes
+    box = _SCAN_CHUNK
+    while box % 2 == 0 and box // 2 >= max(_MIN_BOX, -(-n_angles // _BOUND_BLOCK)):
+        box //= 2
     per_chunk = _SCAN_CHUNK // box
     n_boxes = -(-n_angles // box)
     r_column = np.array(rs).reshape(-1, 1)
@@ -427,23 +430,23 @@ def angular_bound_scan(
         # at every angle, so its max is inf: never skipped
         bound = np.maximum(np.abs(lo), np.abs(hi))
         bound = np.where(np.isnan(bound), math.inf, bound)
-        # a chunk's bound is the max of its boxes' bounds
-        ceiling = np.maximum.reduceat(bound.max(axis=0), np.arange(0, bound.shape[1], per_chunk))
-        for c in np.argsort(-ceiling, kind="stable").tolist():
-            if ceiling[c] < min(worst):
-                # visited by descending bound, so no later chunk can raise a maximum
-                break
-            # a box is live at a radius when its bound is at least the running max there;
-            # as nan that max makes nothing live at a radius whose max is already inf
-            limit = np.array([m if m < math.inf else math.nan for m in worst]).reshape(-1, 1)
-            live = bound[:, c * per_chunk : (c + 1) * per_chunk] >= limit
-            need = np.flatnonzero(live.any(axis=1)).tolist()
+        # each chunk's bound at each radius, the max of its boxes' bounds
+        chunk_bound = np.maximum.reduceat(bound, np.arange(0, bound.shape[1], per_chunk), axis=1)
+        for c in np.argsort(-chunk_bound.max(axis=0), kind="stable").tolist():
+            need = [k for k, m in enumerate(worst) if m < math.inf and chunk_bound[k, c] >= m]
             if not need:
                 continue
-            # the boxes live at some radius, gathered into one array
             start = (b0 + c * per_chunk) * box
-            index = np.arange(start, min(start + live.shape[1] * box, n_angles), dtype=float)
-            angles = (index[np.repeat(live.any(axis=0), box)[: len(index)]] + 0.5) * cell
+            index = np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float)
+            # every box is live at a radius whose running max is still 0
+            if min(worst[k] for k in need) > 0:
+                # a box is live when its bound is at least the running max at some needed radius
+                boxes = bound[need, c * per_chunk : (c + 1) * per_chunk]
+                live = (boxes >= np.array([worst[k] for k in need]).reshape(-1, 1)).any(axis=0)
+                if not live.all():
+                    # the live boxes, gathered into one array
+                    index = index[np.repeat(live, box)[: len(index)]]
+            angles = (index + 0.5) * cell
             # one cos/sin per chunk, shared by every radius that needs it
             cos, sin = np.cos(angles), np.sin(angles)
             for k in need:

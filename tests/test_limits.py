@@ -841,23 +841,20 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     st.integers(361, 20_011),
     st.sampled_from([16, 64, 500, 4096]),
     st.sampled_from([2, 16, 1024]),
-    st.sampled_from([1024, 8, 1]),
 )
-# 313 boxes of 8 angles, the last of 5, make 40 chunks of 8 boxes, the last of 1
-@example(parse(CUBIC), [0.5, 1e-3], 2501, 64, 1024, 8)
+# 79 boxes of 256 angles, the last of 43, make 5 chunks of 16 boxes, the last of 15
+@example(parse(CUBIC), [0.5, 1e-3], 20_011, 4096, 1024)
 # |f| peaks near 276 degrees at r = 0.5, where -1e-2*y^3 wins, and near 60 degrees at
-# r = 0.1, where 1e-4*y wins.  So a chunk visited later must gather boxes live at
-# r = 0.1 alone, and the visit may not stop while r = 0.1's maximum can still rise
-@example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 2501, 64, 1024, 8)
-@example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 4096, 1024, 1024, 64)
+# r = 0.1, where 1e-4*y wins.  So a chunk visited later gathers boxes live at r = 0.1 alone
+@example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 20_011, 4096, 1024)
+@example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 4096, 1024, 1024)
 @settings(max_examples=150, deadline=None)
-def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block, min_box):
-    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4.  A _MIN_BOX
-    # below 1,024 gives these small circles chunks of several boxes
+def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block):
+    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4.  A chunk of
+    # 1,024 or 4,096 angles holds several boxes of 256
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(limits, "_SCAN_CHUNK", chunk)
         patch.setattr(limits, "_BOUND_BLOCK", block)
-        patch.setattr(limits, "_MIN_BOX", min_box)
         scan = angular_bound_scan(f, radii, n_angles)
     assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
 
