@@ -21,6 +21,11 @@ Grammar, from loosest to tightest precedence::
 is still legal.  NAME is a run of ASCII letters; "pi" is a constant and
 sin, cos, tan, exp, ln, sqrt, abs are the built-in functions.  There is
 no implicit multiplication.
+
+One regex reads every token before parsing starts, so an unexpected
+character is reported ahead of any grammar error.  Whitespace between
+tokens is space, tab, CR and LF; any other character outside a token is
+an error.
 """
 
 from __future__ import annotations
@@ -145,161 +150,96 @@ class Call(Expression):
     arg: Expression
 
 
-# --- lexing ---------------------------------------------------------------
-
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z]+")
-_OPS = "+-*/^()"
-_WHITESPACE = " \t\r\n"
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "number" | "name" | "op" | "end"
-    text: str
-    pos: int  # character offset
-
-
-def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch in _WHITESPACE:
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(source, i)
-        if m:
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", source, _byte_offset(source, i))
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
 # --- parsing --------------------------------------------------------------
+
+# One alternative per token kind; the last takes any other character,
+# which is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z]+)|(?P<op>[-+*/^()])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 class _Parser:
+    """Recursive descent over (kind, text, offset) tokens; an offset counts
+    characters until `_fail` turns it into bytes."""
+
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokenize(source)
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            if kind == "bad":
+                self._fail(f"unexpected character {m.group()!r}", m.start())
+            if kind != "space":
+                self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("end", "", len(source)))
         self.index = 0
         self.depth = 0
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.index]
+    def _fail(self, message: str, pos: int) -> None:
+        raise ParseError(message, self.source, len(self.source[:pos].encode("utf-8")))
 
-    def _advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def _fail(self, message: str, token: _Token) -> None:
-        raise ParseError(message, self.source, _byte_offset(self.source, token.pos))
+    def _take(self, ops: str) -> str | None:
+        """If the next token is an operator in `ops`, consume it and return its text."""
+        kind, text, _ = self.tokens[self.index]
+        if kind == "op" and text in ops:
+            self.index += 1
+            return text
+        return None
 
     def _enter(self) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            self._fail("expression nested too deeply", self._peek())
-
-    def parse(self) -> Expression:
-        node = self.expr()
-        token = self._peek()
-        if token.kind != "end":
-            self._fail(f"unexpected {token.text!r} after a complete expression", token)
-        return node
+            self._fail("expression nested too deeply", self.tokens[self.index][2])
 
     def expr(self) -> Expression:
         self._enter()
-        try:
-            node = self.term()
-            while self._peek().kind == "op" and self._peek().text in "+-":
-                op = self._advance().text
-                node = Binary(op, node, self.term())
-            return node
-        finally:
-            self.depth -= 1
+        node = self.term()
+        while op := self._take("+-"):
+            node = Binary(op, node, self.term())
+        self.depth -= 1
+        return node
 
     def term(self) -> Expression:
         node = self.unary()
-        while self._peek().kind == "op" and self._peek().text in "*/":
-            op = self._advance().text
+        while op := self._take("*/"):
             node = Binary(op, node, self.unary())
         return node
 
     def unary(self) -> Expression:
         self._enter()
-        try:
-            token = self._peek()
-            if token.kind == "op" and token.text == "-":
-                self._advance()
-                return Unary(self.unary())
-            return self.power()
-        finally:
-            self.depth -= 1
+        node = Unary(self.unary()) if self._take("-") else self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expression:
         base = self.atom()
-        token = self._peek()
-        if token.kind == "op" and token.text == "^":
-            self._advance()
-            return Binary("^", base, self.unary())
-        return base
+        return Binary("^", base, self.unary()) if self._take("^") else base
 
     def atom(self) -> Expression:
-        token = self._peek()
-        if token.kind == "number":
-            self._advance()
-            value = float(token.text)
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "number":
+            value = float(text)
             if not math.isfinite(value):
-                self._fail("number literal out of double range", token)
+                self._fail("number literal out of double range", pos)
             return Literal(value)
-        if token.kind == "name":
-            self._advance()
-            nxt = self._peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if token.text not in FUNCTIONS:
-                    self._fail(f"unknown function {token.text!r}", token)
-                self._advance()
-                arg = self.expr()
-                self._expect_rparen()
-                return Call(token.text, arg)
-            if token.text in CONSTANTS:
-                return Literal(CONSTANTS[token.text])
-            if token.text in FUNCTIONS:
-                self._fail(f"{token.text!r} is a function and needs a parenthesised argument", token)
-            return Variable(token.text)
-        if token.kind == "op" and token.text == "(":
-            self._advance()
-            node = self.expr()
-            self._expect_rparen()
-            return node
-        if token.kind == "end":
-            self._fail("unexpected end of input; expected a value", token)
-        self._fail(f"expected a number, a name, or '(' but found {token.text!r}", token)
-        raise AssertionError("unreachable")
-
-    def _expect_rparen(self) -> None:
-        token = self._peek()
-        if token.kind == "op" and token.text == ")":
-            self._advance()
-            return
-        self._fail("expected ')'", token)
+        if kind == "name" and not self._take("("):
+            if text in FUNCTIONS:
+                self._fail(f"{text!r} is a function and needs a parenthesised argument", pos)
+            return Literal(CONSTANTS[text]) if text in CONSTANTS else Variable(text)
+        if kind == "name" and text not in FUNCTIONS:
+            self._fail(f"unknown function {text!r}", pos)
+        if kind == "end":
+            self._fail("unexpected end of input; expected a value", pos)
+        if kind == "op" and text != "(":
+            self._fail(f"expected a number, a name, or '(' but found {text!r}", pos)
+        node = self.expr()
+        if not self._take(")"):
+            self._fail("expected ')'", self.tokens[self.index][2])
+        return Call(text, node) if kind == "name" else node
 
 
 def parse(source: str) -> Expression:
@@ -310,7 +250,12 @@ def parse(source: str) -> Expression:
     """
     if not isinstance(source, str):
         raise TypeError("expression source must be a string")
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    node = parser.expr()
+    kind, text, pos = parser.tokens[parser.index]
+    if kind != "end":
+        parser._fail(f"unexpected {text!r} after a complete expression", pos)
+    return node
 
 
 # --- guarded scalar arithmetic ---------------------------------------------

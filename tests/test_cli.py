@@ -627,6 +627,33 @@ def test_config_naming_another_config_is_refused(tmp_path, capsys):
     assert out == "" and err == f"usage error: {cfg}:1: a config file cannot name another config file\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["limit", "--f", "x*y", "--config"], "--config needs a path"),
+        (["limit", "--f", "x*y", "--config", "A", "--config=A"], "--config given more than once"),
+        (["limit", "--f", "x*y", "--config", "CFG"], "config key 'strict' expects a boolean, got 'maybe'"),
+        (["variability", "--rhs", "y", "--x0", "0", "--y0", "1", "--target", "1", "--h", "0.1,x"],
+         "--h expects comma-separated numbers, got '0.1,x'"),
+        (["limit", "--f", "x*y", "--trajectory", "t"], "--trajectory expects XT,YT pairs, got 't'"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strict=maybe\n", encoding="utf-8")
+    assert run([str(cfg) if token == "CFG" else token for token in argv]) == 1
+    assert out_of(capsys) == ("", f"usage error: {message}\n")
+
+
+def test_config_equals_form_with_a_false_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strict=off\n", encoding="utf-8")
+    code = run(["limit", "--f", "x*y/(x+y)"])
+    expected = out_of(capsys)
+    assert run(["limit", "--f", "x*y/(x+y)", f"--config={cfg}"]) == code
+    assert out_of(capsys) == expected
+
+
 # --- process-level checks ----------------------------------------------------------
 
 

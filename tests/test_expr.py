@@ -154,6 +154,29 @@ def test_deep_nesting_fails_cleanly():
         parse(source)
 
 
+@pytest.mark.parametrize(
+    ("source", "message"),
+    [
+        ("1 @ 2", "unexpected character '@' (byte 2)"),
+        ("12+é", "unexpected character 'é' (byte 3)"),
+        ("(1+2", "expected ')' (byte 4)"),
+        ("1+2)", "unexpected ')' after a complete expression (byte 3)"),
+        ("1+2 3", "unexpected '3' after a complete expression (byte 4)"),
+        ("", "unexpected end of input; expected a value (byte 0)"),
+        ("sin(", "unexpected end of input; expected a value (byte 4)"),
+        ("sin + 1", "'sin' is a function and needs a parenthesised argument (byte 0)"),
+        ("foo(1)", "unknown function 'foo' (byte 0)"),
+        ("1e999", "number literal out of double range (byte 0)"),
+        ("y++1", "expected a number, a name, or '(' but found '+' (byte 2)"),
+        ("(" * 121 + "1" + ")" * 121, "expression nested too deeply (byte 60)"),
+    ],
+)
+def test_parse_error_messages(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert str(exc.value) == message
+
+
 # --- evaluation domain errors --------------------------------------------
 
 
