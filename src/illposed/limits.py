@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import _check
@@ -84,15 +85,21 @@ ANGULAR_CAP = 1e6
 # of a chunk are gathered into one array of at most 16,384 doubles, which
 # make 128 KB temporaries.
 _SCAN_CHUNK = 16_384
-# Lattice points per implicit-scan row block.  On a 2-vCPU Xeon host
-# (2 MiB L2 per core) the five dense-scan benchmark fields took 59.7,
-# 48.9, 47.2 and 61.1 ms in all (best of 40) at 16,384, 32,768, 49,152
-# and 65,536 points; 65,536 lost at grids 800 and 2000, and 49,152 beat
-# 32,768 on the benchmark's median operation for 10 of 10 seeds, though
-# at grid 2000 it takes 4,203 minor faults per scan against 186.
+# Cell rows per implicit-scan row block, the unit F is evaluated on.  A
+# fully live block holds 49 x grid_n lattice points: 1.5 MB per float
+# temporary at grid 4000.  On a 2-vCPU Xeon host (2 MiB L2 per core) the
+# five dense-scan benchmark fields took 12.0-12.1 ms in all (in-process
+# medians of 40, two runs) with blocks of 49,152 points (24 rows at grid
+# 2000), 10.6-10.9 ms with 48 rows, 10.7-11.0 ms with 64, 11.3-11.6 ms
+# with 32, 13.1-13.5 ms with 96 and 11.7-12.1 ms with 98,304 points.
+# Live tiles are a small share of the lattice (a tenth on the grid-2000
+# sqrt field), so short blocks spend their time on the fixed cost of
+# each numpy call.
+_BLOCK_ROWS = 48
+# The most tiles one implicit-scan bound pass holds.
 _ROW_BLOCK = 49_152
-# Cell columns per implicit-scan tile.  A tile is one row block by
-# _TILE cell columns, and one interval bound decides whether F is
+# Cell columns per implicit-scan tile.  A tile is _BLOCK_ROWS cell rows
+# by _TILE cell columns, and one interval bound decides whether F is
 # evaluated on it.
 _TILE = 16
 # Chunks whose |f| bounds the polar scan works out at a time.  A circle
@@ -477,12 +484,14 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     cells whose centre falls outside the disk of radius R.  Returned
     cell centres are sorted by x then y.
 
-    F is evaluated only on live tiles.  A tile is one row block by
-    _TILE cell columns, bounded by interval arithmetic on the numpy lane
-    (expr._array_bounds); it is dead when the bound proves every corner
-    >= 1e-14, every corner <= -1e-14, or F nan throughout.  No cell of a
-    dead tile can be flagged, so the cells are those of a scan that
-    evaluates F everywhere.
+    F is evaluated only on live tiles.  A tile is one row block of
+    _BLOCK_ROWS cell rows by _TILE cell columns, bounded by interval
+    arithmetic on the numpy lane (expr._array_bounds); it is dead when
+    the bound proves every corner >= 1e-14, every corner <= -1e-14, or
+    F nan throughout.  No cell of a dead tile can be flagged, so the
+    cells are those of a scan that evaluates F everywhere.  F sees one
+    block's live point columns per call, at most (_BLOCK_ROWS + 1) x
+    grid_n points.
 
     The disk test squares the coordinates, so R must keep R*R a normal
     double and 2*R*R finite: about 1.5e-154 <= R <= 9.5e153.
@@ -506,10 +515,9 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
         rows = points[:-1] | points[1:]
         return rows[:, :-1] | rows[:, 1:]
 
-    # row blocks of about _ROW_BLOCK points, overlapping by one row;
+    # row blocks of _BLOCK_ROWS cell rows, overlapping by one lattice row;
     # F sees an (n, 1) column against a (1, M) row, so x-only terms cost O(n)
-    block = max(1, _ROW_BLOCK // grid_n)
-    row_starts = np.arange(0, grid_n - 1, block)
+    row_starts = np.arange(0, grid_n - 1, _BLOCK_ROWS)
     # the lattice columns of each tile's first and last corner points
     tile_starts = np.arange(0, grid_n - 1, _TILE)
     y_box = (xs[tile_starts].reshape(1, -1), xs[np.minimum(tile_starts + _TILE, grid_n - 1)].reshape(1, -1))
@@ -517,7 +525,7 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
     per_pass = max(1, _ROW_BLOCK // len(tile_starts))
     for first in range(0, len(row_starts), per_pass):
         starts = row_starts[first : first + per_pass]
-        x_box = (xs[starts].reshape(-1, 1), xs[np.minimum(starts + block, grid_n - 1)].reshape(-1, 1))
+        x_box = (xs[starts].reshape(-1, 1), xs[np.minimum(starts + _BLOCK_ROWS, grid_n - 1)].reshape(-1, 1))
         box = _array_bounds(F, {"x": x_box, "y": y_box})
         # dead: every corner >= 1e-14, every corner <= -1e-14, or none finite (void; nan fails both)
         live = (box[0] < 1e-14) & (box[1] > -1e-14)
@@ -530,7 +538,7 @@ def implicit_zero_scan(F: Expression, R: float, grid_n: int = 400) -> list[tuple
             cols = np.flatnonzero(columns)
             if not len(cols):
                 continue
-            i1 = min(i0 + block, grid_n - 1)
+            i1 = min(i0 + _BLOCK_ROWS, grid_n - 1)
             values = fn(xs[i0 : i1 + 1].reshape(-1, 1), xs[cols].reshape(1, -1))
             # on finite corners: a sign change or a corner with |F| < 1e-14
             candidate = any_corner(values > -1e-14) & any_corner(values < 1e-14)
@@ -592,9 +600,15 @@ def polar_csv(scan: AngularScan, round_to: int | None = None) -> str:
 
 
 def implicit_csv(cells: Sequence[tuple[float, float]], round_to: int | None = None) -> str:
-    """The cell centres, each distinct value formatted once: a lattice's centres repeat across its cells."""
-    # as float keys 0.0 and -0.0 would merge (0.0 == -0.0), so a zero is keyed by its text
-    columns = [[v or str(v) for v in values] for values in zip(*cells)]
-    distinct = set().union(*columns)
-    text = dict(zip(distinct, column(map(float, distinct), round_to)))
-    return csv_text((), "cell_x,cell_y", *(map(text.__getitem__, keys) for keys in columns))
+    """The cell centres, each distinct value formatted once: a lattice's centres repeat across its cells.
+
+    A value is keyed by its 64-bit pattern, so 0.0 and -0.0 stay apart
+    and equal bits always give the same text.
+    """
+    import numpy as np
+
+    bits = np.fromiter(chain.from_iterable(cells), float, 2 * len(cells)).view(np.uint64)
+    # a 1-D array, so the inverse is 1-D on every numpy release
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(column(distinct.view(float).tolist(), round_to), dtype=object)
+    return csv_text((), "cell_x,cell_y", *text[inverse.reshape(-1, 2)].T)

@@ -9,6 +9,7 @@ though the "test all lines" heuristic says otherwise.
 import json
 import math
 import random
+import struct
 import threading
 import tracemalloc
 
@@ -488,6 +489,13 @@ def _meshgrid_scan(F, R, grid_n, tiny=1e-14):
     return [(float(centres[i]), float(centres[j])) for i, j in np.argwhere(flagged)]
 
 
+def _short_blocks(patch, rows, grid_n):
+    """Row blocks of `rows` cell rows, and bound passes of at most rows * grid_n tiles,
+    so a small grid is scanned in several blocks and several passes."""
+    patch.setattr(limits, "_BLOCK_ROWS", rows)
+    patch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+
+
 def _boundary_line(grid_n):
     # x equals the lattice row 84 exactly; with 7-row blocks that row is
     # the last of one block and the first of the next
@@ -503,7 +511,7 @@ def _boundary_line(grid_n):
 )
 def test_implicit_row_blocks_match_the_whole_grid(monkeypatch, rows, grid_n, text, R):
     F = parse(text or _boundary_line(grid_n))
-    monkeypatch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+    _short_blocks(monkeypatch, rows, grid_n)
     cells = implicit_zero_scan(F, R, grid_n)
     assert cells == _meshgrid_scan(F, R, grid_n)
     if text is None:  # both blocks flag the cells on their side of the line
@@ -535,7 +543,7 @@ def test_implicit_scan_matches_the_whole_grid_on_hostile_fields(field, rows):
     text, R, grid_n = field
     F = parse(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+        _short_blocks(patch, rows, grid_n)
         cells = implicit_zero_scan(F, R, grid_n)
     assert cells == _meshgrid_scan(F, R, grid_n)
 
@@ -546,7 +554,7 @@ def test_tiled_scan_matches_the_whole_grid_on_hostile_fields(field, rows, tile):
     text, R, grid_n = field
     F = parse(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+        _short_blocks(patch, rows, grid_n)
         patch.setattr(limits, "_TILE", tile)
         cells = implicit_zero_scan(F, R, grid_n)
     assert cells == _meshgrid_scan(F, R, grid_n)
@@ -558,6 +566,8 @@ def test_the_sqrt_field_evaluates_a_small_share_of_its_lattice(monkeypatch):
     calls = _counting_compile(monkeypatch)
     cells = implicit_zero_scan(parse("sqrt(1-x^2-y^2)-0.5"), 1.2, 2000)
     assert cells and sum(calls) < 0.15 * 2000**2
+    # each numpy call has a fixed cost, so blocks are tall: 24-row blocks made 71 calls
+    assert len(calls) <= 40
 
 
 @pytest.mark.parametrize("text", ["x^2+y^2+1", "sqrt(-1-x^2-y^2)", "1/x+ln(-1-x^2-y^2)"])
@@ -581,7 +591,7 @@ def test_each_bound_pass_holds_at_most_a_row_block_of_tiles(monkeypatch):
         return box
 
     monkeypatch.setattr(limits, "_array_bounds", recording_bounds)
-    monkeypatch.setattr(limits, "_ROW_BLOCK", 2 * grid_n)
+    _short_blocks(monkeypatch, 2, grid_n)
     assert implicit_zero_scan(F, 1.0, grid_n) == expected
     assert len(passes) > 1 and all(rows * tiles <= limits._ROW_BLOCK for rows, tiles in passes)
     # blocks of two cell rows, each bounded once
@@ -644,7 +654,7 @@ def test_implicit_kernel_matches_the_whole_grid_on_edge_corners(monkeypatch, row
     monkeypatch.setattr(limits, "compile_array", compile_lattice)
     monkeypatch.setitem(_meshgrid_scan.__globals__, "compile_array", compile_lattice)
     if rows is not None:
-        monkeypatch.setattr(limits, "_ROW_BLOCK", rows * grid_n)
+        _short_blocks(monkeypatch, rows, grid_n)
     F = parse("x+y")  # never evaluated: both scans read the table
     cells = implicit_zero_scan(F, R, grid_n)
     assert cells and cells == _meshgrid_scan(F, R, grid_n)
@@ -670,8 +680,8 @@ def test_implicit_row_blocks_stay_within_the_bound(monkeypatch, grid_n):
 
     monkeypatch.setattr(limits, "compile_array", recording_compile)
     implicit_zero_scan(parse("x^2+y^2-0.25"), 1.0, grid_n)
-    assert (len(blocks) > 1) == (grid_n == 4000)
-    assert all(len(rows) <= limits._ROW_BLOCK // grid_n + 1 for rows in blocks)
+    assert len(blocks) == math.ceil((grid_n - 1) / limits._BLOCK_ROWS)
+    assert all(len(rows) <= limits._BLOCK_ROWS + 1 for rows in blocks)
     # consecutive blocks share exactly one row, and together they cover every row once
     assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert blocks[0] + [x for rows in blocks[1:] for x in rows[1:]] == np.linspace(-1.0, 1.0, grid_n).tolist()
@@ -983,3 +993,30 @@ def test_implicit_csv_formats_repeated_values_as_it_formats_each_one(round_to):
     expected = "cell_x,cell_y\n" + "".join(f"{spec % x},{spec % y}\n" for x, y in cells)
     assert implicit_csv(cells, round_to) == expected
     assert "-0" in expected and "nan" in expected
+
+
+def _nan(sign, payload):
+    """The NaN with the given sign bit and nonzero 52-bit payload."""
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF << 52 | payload))[0]
+
+
+# any double: signed zeros, subnormals and infinities among them, and NaNs of both signs with any payload
+_doubles = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022 - 5e-324, math.inf, -math.inf]),
+    st.builds(_nan, st.integers(0, 1), st.integers(1, 2**52 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # pairs drawn from a small pool, so values repeat within and across the columns
+    st.lists(_doubles, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=40)
+    ),
+    st.sampled_from([None, 0, 3, 17]),
+)
+def test_implicit_csv_formats_any_doubles_as_it_formats_each_one(cells, round_to):
+    spec = "%.17g" if round_to is None else f"%.{round_to}f"
+    expected = "cell_x,cell_y\n" + "".join(f"{spec % x},{spec % y}\n" for x, y in cells)
+    assert implicit_csv(cells, round_to) == expected
