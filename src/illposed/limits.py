@@ -81,9 +81,9 @@ DIVERGENCE_CAP = 1e12
 AGREEMENT_TOL = 1e-4
 ANGULAR_CAP = 1e6
 
-# Angles per polar scan chunk, the unit f is evaluated on: the live boxes
-# of a chunk are gathered into one array of at most 16,384 doubles, which
-# make 128 KB temporaries.
+# The most angles the polar scan evaluates f on in one call, and the most
+# a box holds: a batch of boxes gathers its live boxes into one array of
+# at most 16,384 doubles, which make 128 KB temporaries.
 _SCAN_CHUNK = 16_384
 # Cell rows per implicit-scan row block, the unit F is evaluated on.  A
 # fully live block holds 49 x grid_n lattice points: 1.5 MB per float
@@ -102,19 +102,17 @@ _ROW_BLOCK = 49_152
 # by _TILE cell columns, and one interval bound decides whether F is
 # evaluated on it.
 _TILE = 16
-# Chunks whose |f| bounds the polar scan works out at a time.  A circle
-# split into chunks of several boxes has at most 1,024 boxes, so a pass
-# bounds at most 1,024 boxes and its bound arrays hold len(radii) x 1024
-# entries whatever the angle count.
+# Boxes whose |f| bounds the polar scan works out at a time, so a pass's
+# bound arrays hold len(radii) x 1024 entries whatever the angle count.
 _BOUND_BLOCK = 1024
 # The fewest angles in a polar scan box, the unit the interval bound skips.
-# A box is a chunk halved while the half holds _MIN_BOX angles and a
-# _BOUND_BLOCK-th of the circle: 256 angles up to 262,144 angles, 1,024 at
-# 1M, and one box per chunk from 8,388,609 angles on (the 10M-angle saddle
-# evaluates 2 of its 611 chunks).  With the README cubic at the default
+# A box is a _BOUND_BLOCK-th of the circle, of at least _MIN_BOX and at
+# most _SCAN_CHUNK angles: 256 angles up to 262,144 angles, 977 at 1M,
+# 9,766 at 10M (the 10M-angle saddle evaluates 2 of its 1,024 boxes) and
+# 16,384 from 16,776,193 angles on.  With the README cubic at the default
 # radii on a 2-vCPU host (in-process medians of 300, 100 and 60), floors
-# of 1, 256 and 1,024 took 1.03, 0.57 and 0.57 ms at 720 angles, 3.06,
-# 2.35 and 3.12 ms at 30,000 and 3.50, 3.19 and 3.83 ms at 100,000.
+# of 1, 256 and 1,024 took 1.28, 0.68 and 0.65 ms at 720 angles, 2.87,
+# 2.26 and 2.72 ms at 30,000 and 2.87, 2.45 and 2.65 ms at 100,000.
 _MIN_BOX = 256
 # x = r*cos(t) and y = r*sin(t), the products the polar scan evaluates f on
 _POLAR_X = Binary("*", Variable("r"), Call("cos", Variable("t")))
@@ -398,16 +396,16 @@ def angular_bound_scan(
 
     The scan bounds |f| over boxes of angles by interval arithmetic on
     the numpy lane (expr._array_bounds), at most _BOUND_BLOCK boxes per
-    pass.  A chunk is a whole number of boxes, and its bound at a radius
-    is the max of its boxes' bounds there.  A pass visits its chunks by
-    descending bound and evaluates a chunk at each radius where that
-    bound is at least the running maximum.  A box is live when its bound
-    is at least the running maximum at one of those radii; the live
-    boxes are gathered into one array, cos and sin are computed on it
-    once, and f is evaluated on it at each of those radii.  A box that
-    is not live cannot hold the maximum, and each angle is computed as a
-    scan of the whole circle computes it, so the rows are byte for byte
-    those of a scan that evaluates f at every angle.
+    pass.  A pass visits its boxes by descending bound, in batches of at
+    most _SCAN_CHUNK angles, and evaluates a batch at each radius where
+    the bound of one of its boxes is at least the running maximum.  A
+    box is live when its bound is at least the running maximum at one of
+    those radii; the live boxes are gathered into one array, cos and sin
+    are computed on it once, and f is evaluated on it at each of those
+    radii.  A box that is not live cannot hold the maximum, and each
+    angle is computed as a scan of the whole circle computes it, so the
+    rows are byte for byte those of a scan that evaluates f at every
+    angle.
     """
     _check.variables("f", ("x", "y"), f)
     rs = _check.decreasing("radii", radii)
@@ -417,18 +415,16 @@ def angular_bound_scan(
 
     fn = compile_array(f, ("x", "y"))
     cell = 2.0 * math.pi / n_angles
-    # a chunk halved while the half still holds _MIN_BOX angles and a
-    # _BOUND_BLOCK-th of the circle, so a chunk is a whole number of boxes
-    box = _SCAN_CHUNK
-    while box % 2 == 0 and box // 2 >= max(_MIN_BOX, -(-n_angles // _BOUND_BLOCK)):
-        box //= 2
-    per_chunk = _SCAN_CHUNK // box
+    # a _BOUND_BLOCK-th of the circle, of at least _MIN_BOX and at most _SCAN_CHUNK angles
+    box = min(_SCAN_CHUNK, max(_MIN_BOX, -(-n_angles // _BOUND_BLOCK)))
+    per_batch = _SCAN_CHUNK // box
     n_boxes = -(-n_angles // box)
+    offsets = np.arange(box, dtype=float)
     r_column = np.array(rs).reshape(-1, 1)
 
     worst = [0.0] * len(rs)
-    for b0 in range(0, n_boxes, _BOUND_BLOCK * per_chunk):
-        first = np.arange(b0, min(b0 + _BOUND_BLOCK * per_chunk, n_boxes), dtype=float) * box
+    for b0 in range(0, n_boxes, _BOUND_BLOCK):
+        first = np.arange(b0, min(b0 + _BOUND_BLOCK, n_boxes), dtype=float) * box
         last = np.minimum(first + box, n_angles) - 1.0
         # the box's first and last angles, computed as the gather computes them
         polar = {"r": (r_column, r_column), "t": ((first + 0.5) * cell, (last + 0.5) * cell)}
@@ -437,32 +433,29 @@ def angular_bound_scan(
         # at every angle, so its max is inf: never skipped
         bound = np.maximum(np.abs(lo), np.abs(hi))
         bound = np.where(np.isnan(bound), math.inf, bound)
-        # each chunk's bound at each radius, the max of its boxes' bounds
-        chunk_bound = np.maximum.reduceat(bound, np.arange(0, bound.shape[1], per_chunk), axis=1)
-        for c in np.argsort(-chunk_bound.max(axis=0), kind="stable").tolist():
-            need = [k for k, m in enumerate(worst) if m < math.inf and chunk_bound[k, c] >= m]
+        # the boxes by descending bound
+        order = np.argsort(-bound.max(axis=0), kind="stable")
+        bound, first = bound[:, order], first[order]
+        starts = range(0, len(order), per_batch)
+        # each batch's bound at each radius, the max of its boxes' bounds
+        for s, batch_bound in zip(starts, np.maximum.reduceat(bound, starts, axis=1).T.tolist()):
+            need = [k for k, m in enumerate(worst) if m < math.inf and batch_bound[k] >= m]
             if not need:
                 continue
-            start = (b0 + c * per_chunk) * box
-            index = np.arange(start, min(start + _SCAN_CHUNK, n_angles), dtype=float)
-            # every box is live at a radius whose running max is still 0
-            if min(worst[k] for k in need) > 0:
-                # a box is live when its bound is at least the running max at some needed radius
-                boxes = bound[need, c * per_chunk : (c + 1) * per_chunk]
-                live = (boxes >= np.array([worst[k] for k in need]).reshape(-1, 1)).any(axis=0)
-                if not live.all():
-                    # the live boxes, gathered into one array
-                    index = index[np.repeat(live, box)[: len(index)]]
-            angles = (index + 0.5) * cell
-            # one cos/sin per chunk, shared by every radius that needs it
+            # a box is live when its bound is at least the running max at some needed radius
+            live = (bound[need, s : s + per_batch] >= np.array([worst[k] for k in need]).reshape(-1, 1)).any(axis=0)
+            # the live boxes, gathered into one array; the last box may run past the circle
+            index = (first[s : s + per_batch][live].reshape(-1, 1) + offsets).ravel()
+            angles = (index[index < n_angles] + 0.5) * cell
+            # one cos/sin per batch, shared by every radius that needs it
             cos, sin = np.cos(angles), np.sin(angles)
             for k in need:
-                # kept alive until the next chunk's values exist: freed at the heap
-                # top, glibc trims the temporaries and the next chunk faults them in again
+                # kept alive until the next batch's values exist: freed at the heap
+                # top, glibc trims the temporaries and the next batch faults them in again
                 values = fn(rs[k] * cos, rs[k] * sin)
-                chunk_worst = float(np.max(np.abs(values)))
-                # max(0.0, nan) is 0.0, so a nan chunk must be turned into inf here
-                worst[k] = max(worst[k], chunk_worst) if math.isfinite(chunk_worst) else math.inf
+                batch_worst = float(np.max(np.abs(values)))
+                # max(0.0, nan) is 0.0, so a nan batch must be turned into inf here
+                worst[k] = max(worst[k], batch_worst) if math.isfinite(batch_worst) else math.inf
     rows = tuple(zip(rs, worst))
     bounded = all(m / r < cap for r, m in rows)
     return AngularScan(rows, bounded, n_angles, cap)

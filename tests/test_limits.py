@@ -462,7 +462,7 @@ def test_implicit_scan_validation():
         implicit_zero_scan(F, 0.5, 50)
 
 
-# --- scan kernels across chunk boundaries ---------------------------------------
+# --- scan kernels across block and batch boundaries ------------------------------
 
 
 def _no_bound(expr, boxes):
@@ -699,7 +699,7 @@ def test_implicit_scan_memory_stays_per_block():
 
 
 def _whole_circle_scan(f, radii, n_angles, cap):
-    """The polar scan with every angle of a circle in one array, as an oracle for the chunks."""
+    """The polar scan with every angle of a circle in one array, as an oracle for the batches."""
     fn = compile_array(f, ("x", "y"))
     angles = (np.arange(n_angles, dtype=float) + 0.5) * (2.0 * math.pi / n_angles)
     rows = []
@@ -713,18 +713,19 @@ def _whole_circle_scan(f, radii, n_angles, cap):
 def test_polar_chunks_match_the_whole_circle(monkeypatch, text):
     f, radii = parse(text), (0.5, 0.1, 1e-3)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
-    # 2501 angles make three chunks, the last one short; 360 angles make one
+    # 2501 angles make 10 boxes of 256, the last of 197, visited in 4 batches of
+    # at most 3 boxes; 360 angles make 2 boxes in one batch
     for n_angles in (2501, 360):
         scan = angular_bound_scan(f, radii, n_angles)
         assert scan == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP), n_angles
         if text in ("ln(x)", "sqrt(y)"):
-            # sqrt(y) is finite on the whole first chunk and nan only later
+            # sqrt(y) is finite on the first boxes and nan only later
             assert not scan.bounded
             assert all(m == math.inf for _, m in scan.rows)
 
 
 def test_a_void_field_reads_inf_on_every_circle(monkeypatch):
-    # sqrt(-1-x^2-y^2) is nan at every angle, so its chunk bounds are void;
+    # sqrt(-1-x^2-y^2) is nan at every angle, so its box bounds are void;
     # read as nan they would compare below every running maximum
     f, radii = parse("sqrt(-1-x^2-y^2)"), (0.5, 0.1, 1e-3)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
@@ -739,7 +740,7 @@ class _Boom(Exception):
 
 @pytest.mark.parametrize("error", [_Boom, KeyboardInterrupt])
 def test_an_error_in_f_ends_the_scan_and_propagates(monkeypatch, error):
-    # with no bounds every chunk is evaluated, in order
+    # with no bounds every batch is evaluated, in order
     monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     calls = []
     real_compile = limits.compile_array
@@ -758,8 +759,8 @@ def test_an_error_in_f_ends_the_scan_and_propagates(monkeypatch, error):
     monkeypatch.setattr(limits, "compile_array", failing_compile)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
     with pytest.raises(error, match="injected"):
-        angular_bound_scan(parse(CUBIC), (0.1,), 80_000)  # 80 chunks
-    # f is called no more once it has raised on the third chunk
+        angular_bound_scan(parse(CUBIC), (0.1,), 80_000)  # 105 batches of 3 boxes of 256 angles
+    # f is called no more once it has raised on the third batch
     assert calls == [0, 1, 2]
 
 
@@ -770,7 +771,7 @@ def test_a_many_chunk_scan_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
     f, radii = parse(CUBIC), (0.5, 0.1)
-    # three chunks, the last one short
+    # 10 boxes of 256 angles, the last of 197, in 4 batches
     assert angular_bound_scan(f, radii, 2501) == _whole_circle_scan(f, radii, 2501, ANGULAR_CAP)
 
 
@@ -796,7 +797,8 @@ def test_the_saddle_at_ten_million_angles_evaluates_a_handful_of_chunks(monkeypa
     calls = _counting_compile(monkeypatch)
     f = parse("1.5*x*y/(x+y)")
     scan = angular_bound_scan(f, (1e-3,), 10_000_000)
-    assert len(calls) <= 4 and not scan.bounded
+    # 1,024 boxes of 9,766 angles, of which two are evaluated
+    assert len(calls) <= 4 and sum(calls) <= 2 * 9_766 and not scan.bounded
     monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     assert angular_bound_scan(f, (1e-3,), 10_000_000) == scan
     assert len(calls) > 611
@@ -814,7 +816,7 @@ def test_tan_fields_evaluate_a_handful_of_chunks(monkeypatch):
 
 
 def test_integer_power_fields_evaluate_a_handful_of_chunks(monkeypatch):
-    # t^5 is odd and increasing, so a chunk's box is bounded though it holds t < 0
+    # t^5 is odd and increasing, so a box is bounded though it holds t < 0
     calls = _counting_compile(monkeypatch)
     f = parse("x^5+y^5")
     scan = angular_bound_scan(f, (0.1, 1e-3), 1_000_000)
@@ -825,11 +827,12 @@ def test_integer_power_fields_evaluate_a_handful_of_chunks(monkeypatch):
 
 
 def test_the_readme_cubic_evaluates_only_its_live_boxes(monkeypatch):
-    # 1,024-angle boxes, 16 to a chunk; bounding whole chunks instead evaluates 722,048 points
+    # 1,024 boxes of 977 angles, visited by descending bound in batches of 16: 34,276
+    # points are evaluated, within 36 boxes of 1,024
     calls = _counting_compile(monkeypatch)
     f = parse(CUBIC)
     scan = angular_bound_scan(f, (0.1, 1e-4), 1_000_000)
-    assert sum(calls) <= 131_072
+    assert sum(calls) <= 36_864
     del calls[:]
     monkeypatch.setattr(limits, "_array_bounds", _no_bound)
     assert angular_bound_scan(f, (0.1, 1e-4), 1_000_000) == scan
@@ -837,12 +840,27 @@ def test_the_readme_cubic_evaluates_only_its_live_boxes(monkeypatch):
 
 
 def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
-    # 1 + 0*x is bounded by exactly 1 on every chunk: only a bound strictly
-    # below the running maximum lets a chunk go unevaluated
+    # 1 + 0*x is bounded by exactly 1 on every box: only a bound strictly
+    # below the running maximum lets a box go unevaluated, so every angle
+    # is evaluated at both radii
     calls = _counting_compile(monkeypatch)
     monkeypatch.setattr(limits, "_SCAN_CHUNK", 1000)
     assert angular_bound_scan(parse("1+0*x"), (0.5, 0.1), 9000).rows == ((0.5, 1.0), (0.1, 1.0))
-    assert len(calls) == 2 * 9
+    assert sum(calls) == 2 * 9000
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("n_angles", [360, 2_501, 20_011, 1_000_003])
+def test_each_angle_is_evaluated_once_per_radius(monkeypatch, n_angles, chunk):
+    # no count is a whole number of boxes, so the last box runs past the circle;
+    # a chunk of 1,000 angles makes batches of 3 boxes of 256
+    if chunk is not None:
+        monkeypatch.setattr(limits, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(limits, "_array_bounds", _no_bound)
+    calls = _counting_compile(monkeypatch)
+    f, radii = parse(CUBIC), (0.5, 0.1)
+    assert angular_bound_scan(f, radii, n_angles) == _whole_circle_scan(f, radii, n_angles, ANGULAR_CAP)
+    assert sum(calls) == len(radii) * n_angles and max(calls) <= limits._SCAN_CHUNK
 
 
 @given(
@@ -852,15 +870,15 @@ def test_a_chunk_whose_bound_ties_the_maximum_is_evaluated(monkeypatch):
     st.sampled_from([16, 64, 500, 4096]),
     st.sampled_from([2, 16, 1024]),
 )
-# 79 boxes of 256 angles, the last of 43, make 5 chunks of 16 boxes, the last of 15
+# 79 boxes of 256 angles, the last of 43, visited in 5 batches of 16 boxes, the last of 15
 @example(parse(CUBIC), [0.5, 1e-3], 20_011, 4096, 1024)
 # |f| peaks near 276 degrees at r = 0.5, where -1e-2*y^3 wins, and near 60 degrees at
-# r = 0.1, where 1e-4*y wins.  So a chunk visited later gathers boxes live at r = 0.1 alone
+# r = 0.1, where 1e-4*y wins.  So a batch visited later gathers boxes live at r = 0.1 alone
 @example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 20_011, 4096, 1024)
 @example(parse("x+10*y^2+1e-4*y-1e-2*y^3"), [0.5, 0.1], 4096, 1024, 1024)
 @settings(max_examples=150, deadline=None)
 def test_pruned_polar_scan_matches_the_whole_circle(f, radii, n_angles, chunk, block):
-    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4.  A chunk of
+    # 1e150 and 1e-150 reach the overflow and underflow edges of ^4.  A batch of
     # 1,024 or 4,096 angles holds several boxes of 256
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(limits, "_SCAN_CHUNK", chunk)
