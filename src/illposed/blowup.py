@@ -67,26 +67,33 @@ class BlowupReport:
 
 def _grid_steps(x0: float, x_max: float, h: float) -> int:
     # largest n with x0 + n*h <= x_max, up to a hair of slop
+    h = _check.positive("step size", h)
     n = int(math.floor(_check.finite(f"number of steps for step size {h!r}", (x_max - x0) / h + 1e-9)))
     if n < 1:
         raise ValueError(f"step size {h!r} does not fit in the interval [{x0!r}, {x_max!r}]")
     return n
 
 
-def _level(ivp: IVP, x_max: float, threshold: float, h: float, advance) -> tuple[EvidenceRow, Trajectory | None]:
-    """Evidence row of one level, run until its first crossing, and its trajectory (None if |y0| crosses).
+def _run_levels(
+    ivp: IVP, x_max: float, threshold: float, h0: float, levels: int, advance
+) -> tuple[tuple[EvidenceRow, ...], Trajectory, str | None]:
+    """One evidence row per level at h0/2^level, the finest level's trajectory, and the first rhs-undefined reason.
 
-    A run stopped by an rhs outside its domain neither crosses nor reaches x_max.
+    Each level runs until its first crossing; one stopped by an rhs outside its domain neither crosses nor ends.
     """
-    n = _grid_steps(ivp.x0, x_max, h)
-    if abs(ivp.y0) >= threshold:
-        return EvidenceRow(h, ivp.x0, None), None
-    trajectory = _integrate(ivp, h, n, advance, min(threshold, OVERFLOW_GUARD))
-    if trajectory.rhs_undefined:
-        return EvidenceRow(h, None, None), trajectory
-    if trajectory.terminated_early:
-        return EvidenceRow(h, trajectory.xs[-1], None), trajectory
-    return EvidenceRow(h, None, trajectory.ys[-1]), trajectory
+    rows = []
+    undefined = None
+    for level in range(levels):
+        h = math.ldexp(h0, -level)
+        trajectory = _integrate(ivp, h, _grid_steps(ivp.x0, x_max, h), advance, min(threshold, OVERFLOW_GUARD))
+        if trajectory.rhs_undefined:
+            rows.append(EvidenceRow(h, None, None))
+            undefined = undefined or trajectory.termination_reason
+        elif trajectory.terminated_early:
+            rows.append(EvidenceRow(h, trajectory.xs[-1], None))
+        else:
+            rows.append(EvidenceRow(h, None, trajectory.ys[-1]))
+    return tuple(rows), trajectory, undefined
 
 
 def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> float | None:
@@ -101,24 +108,10 @@ def threshold_crossing(ivp: IVP, h: float, x_max: float, threshold: float) -> fl
     x_max = _check.above("x_max", x_max, "x0", ivp.x0)
     threshold = _check.positive("threshold", threshold)
     h = _check.positive("step size", h)
-    row, trajectory = _level(ivp, x_max, threshold, h, _euler_advance)
-    if trajectory is not None and trajectory.rhs_undefined:
-        raise ValueError(trajectory.termination_reason)
+    (row,), _, undefined = _run_levels(ivp, x_max, threshold, h, 1, _euler_advance)
+    if undefined:
+        raise ValueError(undefined)
     return row.crossing_x
-
-
-def _run_levels(
-    ivp: IVP, x_max: float, threshold: float, h0: float, levels: int, advance
-) -> tuple[tuple[EvidenceRow, ...], Trajectory | None, str | None]:
-    """One evidence row per level, the finest level's trajectory, and the first rhs-undefined reason."""
-    rows = []
-    undefined = None
-    for level in range(levels):
-        row, trajectory = _level(ivp, x_max, threshold, h0 / (2.0**level), advance)
-        rows.append(row)
-        if undefined is None and trajectory is not None and trajectory.rhs_undefined:
-            undefined = trajectory.termination_reason
-    return tuple(rows), trajectory, undefined
 
 
 def _classify(rows: tuple[EvidenceRow, ...]) -> tuple[str, str | None, tuple[float, float] | None]:
@@ -170,13 +163,13 @@ def estimate_blowup(
 ) -> BlowupReport:
     """Refinement study of threshold crossings on [x0, x_max].
 
-    Runs the per-level runner _level at h0, h0/2, ..., h0/2^(levels-1)
-    with forward Euler, then repeats the study with RK4.  BlowupDetected
-    requires every Euler level to cross with crossings Cauchy-decreasing
-    and RK4 to agree qualitatively; BoundedOnInterval requires no level
-    of either integrator to cross.  Everything else is Inconclusive,
-    including any level whose rhs leaves its domain: a pole or a log of
-    a negative value is not an escape of the solution.
+    Runs _run_levels at h0, h0/2, ..., h0/2^(levels-1) with forward
+    Euler, then, unless an Euler rhs left its domain, with RK4.
+    BlowupDetected requires every Euler level to cross with crossings
+    Cauchy-decreasing and RK4 to agree qualitatively; BoundedOnInterval
+    requires no level of either integrator to cross.  Everything else is
+    Inconclusive, including any level whose rhs leaves its domain: a pole
+    or a log of a negative value is not an escape of the solution.
     """
     x_max = _check.above("x_max", x_max, "x0", ivp.x0)
     threshold = _check.positive("threshold", threshold)
@@ -184,15 +177,16 @@ def estimate_blowup(
     levels = _check.integer("levels", levels, 3)
 
     evidence, finest, undefined = _run_levels(ivp, x_max, threshold, h0, levels, _euler_advance)
-    rk4_evidence, _, rk4_undefined = _run_levels(ivp, x_max, threshold, h0, levels, _rk4_advance)
+    if undefined is None:
+        rk4_evidence, _, undefined = _run_levels(ivp, x_max, threshold, h0, levels, _rk4_advance)
 
     def report(verdict, x_estimate=None, bracket=None, tolerance=None, x_end=None, max_abs_y=None, reason=None):
         return BlowupReport(verdict, x_estimate, bracket, tolerance, x_end, max_abs_y, reason, evidence)
 
-    if undefined or rk4_undefined:
-        return report(BlowupVerdict.INCONCLUSIVE, reason=undefined or rk4_undefined)
+    if undefined:
+        return report(BlowupVerdict.INCONCLUSIVE, reason=undefined)
     euler_kind, euler_reason, bracket = _classify(evidence)
-    rk4_kind, rk4_reason, _ = _classify(rk4_evidence)
+    rk4_kind = _classify(rk4_evidence)[0]
 
     if euler_kind == "detected" and rk4_kind == "detected":
         last = evidence[-1].crossing_x
@@ -200,10 +194,9 @@ def estimate_blowup(
         return report(BlowupVerdict.BLOWUP_DETECTED, last, bracket, tolerance=bracket[1] - bracket[0])
     if euler_kind == "bounded" and rk4_kind == "bounded":
         return report(BlowupVerdict.BOUNDED_ON_INTERVAL, x_end=finest.xs[-1], max_abs_y=max(map(abs, finest.ys)))
+    reason = euler_reason  # both inconclusive, unless they disagree
     if euler_kind != rk4_kind:
         reason = f"integrators disagree: Euler refinement looks {euler_kind}, RK4 looks {rk4_kind}"
-    else:
-        reason = euler_reason or rk4_reason or "refinement evidence is mixed"
     return report(BlowupVerdict.INCONCLUSIVE, reason=reason)
 
 

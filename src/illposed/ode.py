@@ -5,7 +5,8 @@ x0 + k*h, recomputed from the integers, so a trajectory's x column is
 reproducible to the last bit regardless of how far it runs; a grid whose
 last abscissa overflows is refused before the first step.  Solutions
 that leave the finite doubles terminate cleanly instead of propagating
-infinities; the trajectory records why it stopped.
+infinities, and a start already at or past the bound stops at x0
+without a step; the trajectory records why it stopped.
 """
 
 from __future__ import annotations
@@ -123,16 +124,18 @@ def rk4_step(rhs: Expression, x: float, y: float, h: float) -> float:
 
 
 def _integrate(ivp: IVP, h: float, n_steps: int, advance, bound: float) -> Trajectory:
-    # the one escape test: a run stops at the first step whose |y| reaches
-    # bound or whose rhs overflows; an rhs outside its domain stops it too,
-    # with a reason that says so
+    # the one escape test: a run stops at the first point whose |y| reaches
+    # bound, x0 included, or whose rhs overflows; an rhs outside its domain
+    # stops it too, with a reason that says so
     h = _check.positive("step size", h)
     n_steps = _check.integer("number of steps", n_steps, 1)
     x0 = ivp.x0
     # x0 + k*h never decreases in k, so a finite last abscissa bounds the grid
     _check.finite(f"last grid abscissa x0 + {n_steps}*h", x0 + _check.finite("number of steps", n_steps) * h)
-    f = compile_scalar(ivp.rhs, ("x", "y"))
     xs, ys = array("d", [x0]), array("d", [ivp.y0])
+    if not abs(ivp.y0) < bound:
+        return Trajectory(h, xs, ys, f"overflow guard: |y| reached {bound:g} at x={x0!r}")
+    f = compile_scalar(ivp.rhs, ("x", "y"))
     x, y, reason = x0, ivp.y0, None
     for k in range(1, n_steps + 1):
         try:

@@ -171,10 +171,28 @@ def test_a_start_at_the_threshold_crosses_at_x0_on_every_level():
         (tan_ivp(), 0.01, 2.0, 1.7),
         # y_k = 2^k reaches the 1e300 guard at k = 997, and 1e305 only at k = 1014
         (IVP(parse("y"), 0.0, 1.0), 1.0, 2000.0, 997.0),
+        # a start already past the guard crosses at x0, not one step later
+        (IVP(parse("0"), 0.0, 1e301), 0.1, 1.0, 0.0),
     ],
 )
 def test_a_threshold_above_the_overflow_guard_crosses_at_the_guard(ivp, h, x_max, crossing):
     assert threshold_crossing(ivp, h, x_max, 1e305) == crossing
+
+
+def test_a_start_past_the_guard_crosses_at_x0_whatever_the_threshold():
+    # the solution is the constant 1e301; a level that stepped once before the
+    # guard stopped it would cross at x0 + h, a sequence that shrinks with h
+    ivp = IVP(parse("0"), 0.0, 1e301)
+    above, at = (estimate_blowup(ivp, 1.0, threshold, 0.1, 3) for threshold in (1e305, 1e300))
+    assert above.evidence == at.evidence
+    assert [row.crossing_x for row in above.evidence] == [0.0, 0.0, 0.0]
+    assert (above.x_estimate, above.bracket) == (0.0, (-0.05, 0.0))
+
+
+def test_a_start_at_the_guard_stops_at_x0_without_a_step():
+    trajectory = integrate_euler(IVP(parse("0"), 0.0, 1e300), 0.5, 3)
+    assert trajectory.points == ((0, 0.0, 1e300),)
+    assert trajectory.termination_reason == "overflow guard: |y| reached 1e+300 at x=0.0"
 
 
 # --- an rhs outside its domain is not an escape ---------------------------------
@@ -188,7 +206,9 @@ def test_a_threshold_above_the_overflow_guard_crosses_at_the_guard(ivp, h, x_max
         ("1/0", "rhs undefined at x=0.0: division by zero in '1.0/0.0'"),
     ],
 )
-def test_an_undefined_rhs_is_inconclusive_not_blowup(rhs, reason):
+def test_an_undefined_rhs_is_inconclusive_not_blowup(rhs, reason, monkeypatch):
+    # the Euler study already gives the reason, so the RK4 study never runs
+    monkeypatch.setattr("illposed.blowup._rk4_advance", None)
     report = estimate_blowup(IVP(parse(rhs), 0.0, 0.0), 2.0, h0=0.1, levels=4)
     assert report.verdict is BlowupVerdict.INCONCLUSIVE
     assert report.reason == reason

@@ -11,7 +11,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from illposed.cli import build_parser, run
@@ -181,6 +181,21 @@ def test_blowup_strict_inconclusive_exits_3(capsys):
     assert code == 3
     _, err = out_of(capsys)
     assert "diagnostic failure" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        # the step 2^-1024 at level 1024 leaves 2^1024 steps, past the doubles
+        (["--xmax", "1", "--h0", "1", "--levels", "1030"],
+         "number of steps for step size 5.562684646268003e-309 must be finite, got inf"),
+        # 1e-300 / 2^79 underflows to 0
+        (["--xmax", "1e-300", "--h0", "1e-300", "--levels", "100"], "step size must be positive and finite, got 0.0"),
+    ],
+)
+def test_blowup_levels_whose_step_leaves_the_doubles_exit_1(capsys, argv, message):
+    assert run(["blowup", "--rhs", "y", "--x0", "0", "--y0", "1e9", *argv]) == 1
+    assert out_of(capsys) == ("", f"usage error: {message}\n")
 
 
 def test_variability_csv(capsys):
@@ -815,6 +830,22 @@ _IMPLICIT_ARGV = st.builds(
     _NUMBER,
 )
 
+# a start at or past min(threshold, 1e300) stops every level at x0 without a
+# step, so even 1030 levels stay cheap
+_BLOWUP_ARGV = st.builds(
+    lambda rhs, x0, y0, x_max, threshold, h0, levels: [
+        "blowup", f"--rhs={rhs}", f"--x0={x0}", f"--y0={y0}", f"--xmax={x_max}", f"--threshold={threshold}",
+        f"--h0={h0}", f"--levels={levels}"
+    ],
+    st.sampled_from(("0", "y", "y^2+1")),
+    _NUMBER,
+    st.sampled_from(("1e301", "-1.7e308")),
+    _NUMBER,
+    st.sampled_from(("1e8", "1e305")),
+    _NUMBER,
+    st.sampled_from((3, 8, 1030)),
+)
+
 
 def _assert_finite_csv(text):
     for line in text.splitlines()[1:]:
@@ -826,7 +857,10 @@ def _assert_finite_csv(text):
             assert math.isfinite(value), line
 
 
-@given(_EULER_ARGV | _SWEEP_ARGV | _RECURRENCE_ARGV | _FIT_ARGV | _LEVEL_CURVE_ARGV | _IMPLICIT_ARGV)
+@given(_EULER_ARGV | _SWEEP_ARGV | _RECURRENCE_ARGV | _FIT_ARGV | _LEVEL_CURVE_ARGV | _IMPLICIT_ARGV | _BLOWUP_ARGV)
+# the deepest level's step overflows the step count, and the second level's underflows to 0
+@example(["blowup", "--rhs=0", "--x0=0.0", "--y0=1e301", "--xmax=1e+308", "--h0=1e+308", "--levels=1030"])
+@example(["blowup", "--rhs=y", "--x0=0.0", "--y0=1e301", "--xmax=5e-324", "--h0=5e-324", "--levels=3"])
 @settings(max_examples=300, deadline=None)
 def test_hostile_numbers_never_give_a_traceback_or_a_non_finite_cell(tmp_path_factory, argv):
     sweep = tmp_path_factory.getbasetemp() / "sweep.csv"
