@@ -260,8 +260,9 @@ def default_trajectories() -> list[Trajectory2D]:
 def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
     """Sample f along the path at each t of DEFAULT_SCHEDULE and judge the tail.
 
-    Converged needs the last two successive differences below 1e-6 and
-    no drift from t = 1e-4 to 1e-8 (see _drift); |f| past 1e12 at the
+    Converged needs the last two successive differences below 1e-6, no
+    step above 1e-6 larger than the step before it (see _jump) and no
+    drift from t = 1e-4 to 1e-8 (see _drift); |f| past 1e12 at the
     finest t is Diverged; anything else (including paths that dodge the
     domain of f) is Inconclusive.  Samples where f or the path is
     undefined are skipped and noted, not fatal.
@@ -298,12 +299,29 @@ def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
         if not (diffs[-1] < CAUCHY_TOL and diffs[-2] < CAUCHY_TOL):
             notes.append("samples are not Cauchy at the finest scales")
             status, value = PathStatus.INCONCLUSIVE, None
+        elif (jump := _jump(diffs)) is not None:
+            notes.append(f"f jumps by {jump:.3g}, more than the step before it; the tail did not contract")
+            status, value = PathStatus.INCONCLUSIVE, None
         elif (drift := _drift([sample.f for sample in samples[3:8]])) is not None:  # t = 1e-4 ... 1e-8
             notes.append(f"f drifts by about {drift:.3g} per decade of t from 1e-4 to 1e-8")
             status, value = PathStatus.INCONCLUSIVE, None
         else:
             status, value = PathStatus.CONVERGED, values[-1]
     return TrajectoryLimit(trajectory.label, status, value, tuple(samples), tuple(notes))
+
+
+def _jump(steps: list[float]) -> float | None:
+    """The first of the steps |f_(i+1) - f_i| above CAUCHY_TOL and larger than the step before it.
+
+    A convergent tail contracts: a step above the tolerance is at most
+    the one before it.  A rounding cancellation breaks that.
+    (-3 + -3*y^3 + 3)/y^3 on x = t, y = -2t has the limit -3, but from
+    t = 1e-6 on -3 absorbs -3*y^3 and +3 cancels the sum, so f falls
+    from about -3 to -0.0 in one step and then stays there: the last
+    steps are 0 and pass the Cauchy test.  The rule also refuses a few
+    convergent paths whose steps at t = 0.1 and 0.01 still grow.
+    """
+    return next((step for before, step in zip(steps, steps[1:]) if step > CAUCHY_TOL and step > before), None)
 
 
 def _drift(decades: list[float | None]) -> float | None:

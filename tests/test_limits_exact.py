@@ -46,11 +46,9 @@ def test_path_verdicts_agree_with_the_exact_one_sided_limit(case):
         assert exact.is_infinite, (text, k, m, exact)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 9: the samples fall from -3.0 to -0.0 between t = 1e-5 and 1e-6, "
-    "where -3 absorbs -3*y^3 and +3 cancels it, yet the tail reads Converged"
-))
 def test_a_cancelled_tail_is_not_a_converged_zero():
+    # the samples fall from -3.0 to -0.0 between t = 1e-5 and 1e-6, where -3
+    # absorbs -3*y^3 and +3 cancels it; the last steps are 0 and pass the Cauchy test
     text = "(-3*x^0*y^0+-3*x^0*y^3+3*x^0*y^0)/(x^0*y^3)"
     path = limit_along(parse(text), trajectory_from_text("t", "-2.0*t^1"))
     x, y, t = sympy.symbols("x y t")
