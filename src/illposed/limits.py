@@ -258,19 +258,14 @@ def default_trajectories() -> list[Trajectory2D]:
 
 
 def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
-    """Sample f along the path at each t of DEFAULT_SCHEDULE and judge the tail.
+    """Sample f along the path at each t of DEFAULT_SCHEDULE; _judge reads the samples.
 
-    Converged needs the last two successive differences below 1e-6, no
-    step above 1e-6 larger than the step before it (see _jump) and no
-    drift from t = 1e-4 to 1e-8 (see _drift); |f| past 1e12 at the
-    finest t is Diverged; anything else (including paths that dodge the
-    domain of f) is Inconclusive.  Samples where f or the path is
-    undefined are skipped and noted, not fatal.
+    Samples where f or the path is undefined are skipped and noted, not
+    fatal.  The judge's note, if it gives one, is the last.
     """
     _check.variables("f", ("x", "y"), f)
     samples: list[LimitSample] = []
     notes: list[str] = []
-    values: list[float] = []
     for t in DEFAULT_SCHEDULE:
         try:
             x = evaluate(trajectory.x_of_t, {"t": t})
@@ -286,64 +281,55 @@ def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
             notes.append(f"t={t:g}: f undefined ({err})")
             continue
         samples.append(LimitSample(t, x, y, value))
-        values.append(value)
-
-    if len(values) < 3:
-        notes.append("fewer than 3 valid samples; no tail to judge")
-        status, value = PathStatus.INCONCLUSIVE, None
-    elif abs(values[-1]) > DIVERGENCE_CAP:
-        notes.append(f"|f| reached {abs(values[-1]):.3g} at the finest t")
-        status, value = PathStatus.DIVERGED, None
-    else:
-        diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-        if not (diffs[-1] < CAUCHY_TOL and diffs[-2] < CAUCHY_TOL):
-            notes.append("samples are not Cauchy at the finest scales")
-            status, value = PathStatus.INCONCLUSIVE, None
-        elif (jump := _jump(diffs)) is not None:
-            notes.append(f"f jumps by {jump:.3g}, more than the step before it; the tail did not contract")
-            status, value = PathStatus.INCONCLUSIVE, None
-        elif (drift := _drift([sample.f for sample in samples[3:8]])) is not None:  # t = 1e-4 ... 1e-8
-            notes.append(f"f drifts by about {drift:.3g} per decade of t from 1e-4 to 1e-8")
-            status, value = PathStatus.INCONCLUSIVE, None
-        else:
-            status, value = PathStatus.CONVERGED, values[-1]
+    status, value, note = _judge(samples)
+    if note is not None:
+        notes.append(note)
     return TrajectoryLimit(trajectory.label, status, value, tuple(samples), tuple(notes))
 
 
-def _jump(steps: list[float]) -> float | None:
-    """The first of the steps |f_(i+1) - f_i| above CAUCHY_TOL and larger than the step before it.
+def _judge(samples: Sequence[LimitSample]) -> tuple[PathStatus, float | None, str | None]:
+    """The verdict on a path's samples: (status, value, note), the note None only for Converged.
 
-    A convergent tail contracts: a step above the tolerance is at most
-    the one before it.  A rounding cancellation breaks that.
-    (-3 + -3*y^3 + 3)/y^3 on x = t, y = -2t has the limit -3, but from
-    t = 1e-6 on -3 absorbs -3*y^3 and +3 cancels the sum, so f falls
-    from about -3 to -0.0 in one step and then stays there: the last
-    steps are 0 and pass the Cauchy test.  The rule also refuses a few
-    convergent paths whose steps at t = 0.1 and 0.01 still grow.
+    The first rule that matches decides, on the samples where f is defined:
+    - fewer than 3: Inconclusive;
+    - |f| past DIVERGENCE_CAP at the finest: Diverged;
+    - one of the last two steps |f_(i+1) - f_i| not below CAUCHY_TOL: Inconclusive;
+    - a step above CAUCHY_TOL larger than the step before it: Inconclusive.
+      A convergent tail contracts; a rounding cancellation breaks that.
+      (-3 + -3*y^3 + 3)/y^3 on x = t, y = -2t has the limit -3, but from
+      t = 1e-6 on -3 absorbs -3*y^3 and +3 cancels the sum, so f falls
+      from about -3 to -0.0 in one step and the last steps are 0.  The
+      rule also refuses a few convergent paths whose steps at t = 0.1 and
+      0.01 still grow;
+    - drift: Inconclusive.  The values at t = 1e-4 ... 1e-8, one decade
+      apart on DEFAULT_SCHEDULE, drift when all are defined and their
+      steps are nonzero, of one sign, the smallest at least half the
+      largest.  |x|^1e-7 drifts by about -2.3e-7 per decade, passing the
+      Cauchy test while f creeps toward its limit 0; a convergent tail
+      shrinks its steps by a factor per decade.
+    Otherwise the path is Converged on the finest f.
     """
-    return next((step for before, step in zip(steps, steps[1:]) if step > CAUCHY_TOL and step > before), None)
-
-
-def _drift(decades: list[float | None]) -> float | None:
-    """The mean step between successive values of f, one decade of t apart, when they drift.
-
-    They drift when every step is nonzero and of one sign and the
-    smallest is at least half the largest; a missing value rules it out.
-    |x|^1e-7 drifts by about -2.3e-7 per decade, small enough to pass the
-    Cauchy test while f creeps toward its limit 0.  A convergent tail
-    shrinks its steps by a factor per decade, and a constant one has none.
-    """
-    if None in decades:
-        return None
-    steps = [b - a for a, b in zip(decades, decades[1:])]
-    low, high = min(steps), max(steps)
-    if low > 0:
-        smallest, largest = low, high
-    elif high < 0:
-        smallest, largest = -high, -low
-    else:
-        return None
-    return sum(steps) / len(steps) if smallest >= 0.5 * largest else None
+    values = [sample.f for sample in samples if sample.f is not None]
+    if len(values) < 3:
+        return PathStatus.INCONCLUSIVE, None, "fewer than 3 valid samples; no tail to judge"
+    if abs(values[-1]) > DIVERGENCE_CAP:
+        return PathStatus.DIVERGED, None, f"|f| reached {abs(values[-1]):.3g} at the finest t"
+    steps = [abs(b - a) for a, b in zip(values, values[1:])]
+    if not (steps[-1] < CAUCHY_TOL and steps[-2] < CAUCHY_TOL):
+        return PathStatus.INCONCLUSIVE, None, "samples are not Cauchy at the finest scales"
+    for before, step in zip(steps, steps[1:]):
+        if step > CAUCHY_TOL and step > before:
+            note = f"f jumps by {step:.3g}, more than the step before it; the tail did not contract"
+            return PathStatus.INCONCLUSIVE, None, note
+    decades = [sample.f for sample in samples if 1e-8 <= sample.t <= 1e-4]
+    if None not in decades:
+        moves = [b - a for a, b in zip(decades, decades[1:])]
+        low, high = min(moves), max(moves)
+        smallest, largest = (low, high) if low > 0 else (-high, -low)
+        if (low > 0 or high < 0) and smallest >= 0.5 * largest:
+            note = f"f drifts by about {sum(moves) / len(moves):.3g} per decade of t from 1e-4 to 1e-8"
+            return PathStatus.INCONCLUSIVE, None, note
+    return PathStatus.CONVERGED, values[-1], None
 
 
 def compare_trajectories(f: Expression, trajectories: Sequence[Trajectory2D]) -> LimitReport:

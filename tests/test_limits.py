@@ -262,6 +262,53 @@ def test_divergence_is_flagged():
     assert tl.value is None
 
 
+@pytest.mark.parametrize(
+    ("text", "x_text", "y_text", "status", "value", "note"),
+    [
+        (SADDLE, "t", "-t", PathStatus.INCONCLUSIVE, None, "fewer than 3 valid samples; no tail to judge"),
+        ("1/(x^2+y^2)", "t", "t", PathStatus.DIVERGED, None, "|f| reached 2e+16 at the finest t"),
+        ("sin(1/x)", "t", "t", PathStatus.INCONCLUSIVE, None, "samples are not Cauchy at the finest scales"),
+        (
+            "(-3*x^0*y^0+-3*x^0*y^3+3*x^0*y^0)/(x^0*y^3)",
+            "t",
+            "-2.0*t^1",
+            PathStatus.INCONCLUSIVE,
+            None,
+            "f jumps by 1.09e-05, more than the step before it; the tail did not contract",
+        ),
+        (
+            "abs(x)^0.0000001",
+            "t",
+            "t",
+            PathStatus.INCONCLUSIVE,
+            None,
+            "f drifts by about -2.3e-07 per decade of t from 1e-4 to 1e-8",
+        ),
+        (SADDLE, "t", "t", PathStatus.CONVERGED, 2.5e-09, None),
+    ],
+    ids=["few samples", "diverged", "not Cauchy", "jump", "drift", "converged"],
+)
+def test_each_rule_of_the_judge_ends_the_notes_with_its_own(text, x_text, y_text, status, value, note):
+    tl = limit_along(parse(text), trajectory_from_text(x_text, y_text))
+    assert tl.status is status
+    assert tl.value == value
+    # a Converged path has no note at all
+    assert tl.notes[-1:] == (() if note is None else (note,))
+
+
+def test_the_drift_window_is_found_by_t_not_by_position(monkeypatch):
+    # f -> 0 but creeps by about -2.55e-7 per decade of t; a coarser first t must
+    # not move the window from 1e-4 ... 1e-8 to 1e-3 ... 1e-7, where it passes
+    f, path = parse("abs(x)^0.0000001+0.001*x"), line_trajectory(1.0)
+    note = "f drifts by about -2.55e-07 per decade of t from 1e-4 to 1e-8"
+    assert limit_along(f, path).notes == (note,)
+    monkeypatch.setattr(limits, "DEFAULT_SCHEDULE", (0.5, *DEFAULT_SCHEDULE))
+    tl = limit_along(f, path)
+    assert [s.t for s in tl.samples] == [0.5, *DEFAULT_SCHEDULE]
+    assert tl.status is PathStatus.INCONCLUSIVE
+    assert tl.notes == (note,)
+
+
 # --- comparing paths -----------------------------------------------------------
 
 
