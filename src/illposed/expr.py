@@ -4,7 +4,9 @@ Expressions are parsed from text into a small immutable tree and are
 evaluated under strict IEEE-754 double semantics: any operation that
 leaves the finite real domain (division by zero, log of a non-positive
 value, overflow past the largest double, ...) raises a typed error
-instead of silently returning an infinity.  The numerical modules rely
+instead of silently returning an infinity.  sin, cos and tan of an
+infinite value, which only a caller's own overflow can pass in (an RK4
+stage, say), raise OverflowDomainError too.  The numerical modules rely
 on this to tell "the value became huge" apart from "the formula stopped
 making sense here".
 
@@ -34,7 +36,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,75 +262,87 @@ def parse(source: str) -> Expression:
 
 # --- guarded scalar arithmetic ---------------------------------------------
 #
-# These tiny wrappers are shared verbatim between the tree-walking
-# evaluator and compile_scalar(), which is what makes the two paths
-# bit-identical: same callables, same order of operations.
+# evaluate() and compile_scalar() call these guards in the same order, which
+# makes the two paths bit-identical.  Each guard is passed the node it
+# evaluates and raises its error with that node.
 
 
-def _add(a: float, b: float) -> float:
+def _add(a: float, b: float, node: Expression) -> float:
     r = a + b
     if math.isfinite(r):
         return r
-    raise OverflowDomainError("overflow in addition")
+    raise OverflowDomainError("overflow in addition", node)
 
 
-def _sub(a: float, b: float) -> float:
+def _sub(a: float, b: float, node: Expression) -> float:
     r = a - b
     if math.isfinite(r):
         return r
-    raise OverflowDomainError("overflow in subtraction")
+    raise OverflowDomainError("overflow in subtraction", node)
 
 
-def _mul(a: float, b: float) -> float:
+def _mul(a: float, b: float, node: Expression) -> float:
     r = a * b
     if math.isfinite(r):
         return r
-    raise OverflowDomainError("overflow in multiplication")
+    raise OverflowDomainError("overflow in multiplication", node)
 
 
-def _div(a: float, b: float) -> float:
+def _div(a: float, b: float, node: Expression) -> float:
     if b == 0.0:
-        raise DomainError("division by zero")
+        raise DomainError("division by zero", node)
     r = a / b
     if math.isfinite(r):
         return r
-    raise OverflowDomainError("overflow in division")
+    raise OverflowDomainError("overflow in division", node)
 
 
-def _pow(a: float, b: float) -> float:
+def _pow(a: float, b: float, node: Expression) -> float:
     if a == 0.0 and b < 0.0:
-        raise DomainError("zero raised to a negative power")
-    if a < 0.0 and b != math.floor(b):
-        raise DomainError("negative base with a non-integer exponent")
+        raise DomainError("zero raised to a negative power", node)
+    if a < 0.0 and math.isfinite(b) and b != math.floor(b):
+        raise DomainError("negative base with a non-integer exponent", node)
     try:
         r = math.pow(a, b)
     except (OverflowError, ValueError):
-        raise OverflowDomainError("overflow in power") from None
+        raise OverflowDomainError("overflow in power", node) from None
     if math.isfinite(r):
         return r
-    raise OverflowDomainError("overflow in power")
+    raise OverflowDomainError("overflow in power", node)
 
 
-def _exp(a: float) -> float:
+def _exp(a: float, node: Expression) -> float:
     try:
         return math.exp(a)
     except OverflowError:
-        raise OverflowDomainError("overflow in exp") from None
+        raise OverflowDomainError("overflow in exp", node) from None
 
 
-def _ln(a: float) -> float:
+def _ln(a: float, node: Expression) -> float:
     if a <= 0.0:
-        raise DomainError("log of a non-positive value")
+        raise DomainError("log of a non-positive value", node)
     return math.log(a)
 
 
-def _sqrt(a: float) -> float:
+def _sqrt(a: float, node: Expression) -> float:
     if a < 0.0:
-        raise DomainError("square root of a negative value")
+        raise DomainError("square root of a negative value", node)
     return math.sqrt(a)
 
 
-_BINARY_OPS: dict[str, Callable[[float, float], float]] = {
+def _periodic(fn: Callable[[float], float]) -> Callable[[float, Expression], float]:
+    # sin, cos and tan of a finite double are finite; math raises ValueError
+    # only on an infinite argument, which an overflow upstream produced
+    def guard(a: float, node: Expression) -> float:
+        try:
+            return fn(a)
+        except ValueError:
+            raise OverflowDomainError(f"overflow in {fn.__name__}", node) from None
+
+    return guard
+
+
+_BINARY_OPS: dict[str, Callable[[float, float, Expression], float]] = {
     "+": _add,
     "-": _sub,
     "*": _mul,
@@ -336,15 +350,14 @@ _BINARY_OPS: dict[str, Callable[[float, float], float]] = {
     "^": _pow,
 }
 
-# sin/cos/tan of a finite double are always finite, so they need no guard
-_FUNCTION_OPS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
+_FUNCTION_OPS: dict[str, Callable[[float, Expression], float]] = {
+    "sin": _periodic(math.sin),
+    "cos": _periodic(math.cos),
+    "tan": _periodic(math.tan),
     "exp": _exp,
     "ln": _ln,
     "sqrt": _sqrt,
-    "abs": abs,
+    "abs": lambda a, node: abs(a),
 }
 
 
@@ -358,26 +371,15 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Variable):
-        try:
-            value = bindings[expr.name]
-        except KeyError:
-            raise UnboundVariableError(expr.name, expr) from None
-        return float(value)
+        if expr.name not in bindings:
+            raise UnboundVariableError(expr.name, expr)
+        return float(bindings[expr.name])
     if isinstance(expr, Unary):
         return -evaluate(expr.operand, bindings)
     if isinstance(expr, Binary):
-        left = evaluate(expr.left, bindings)
-        right = evaluate(expr.right, bindings)
-        try:
-            return _BINARY_OPS[expr.op](left, right)
-        except DomainError as err:
-            raise type(err)(err.reason, expr) from None
+        return _BINARY_OPS[expr.op](evaluate(expr.left, bindings), evaluate(expr.right, bindings), expr)
     if isinstance(expr, Call):
-        arg = evaluate(expr.arg, bindings)
-        try:
-            return _FUNCTION_OPS[expr.func](arg)
-        except DomainError as err:
-            raise type(err)(err.reason, expr) from None
+        return _FUNCTION_OPS[expr.func](evaluate(expr.arg, bindings), expr)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -459,18 +461,6 @@ def to_text(expr: Expression) -> str:
 
 # --- compilation ------------------------------------------------------------
 
-_SCALAR_OPNAMES = {"+": "ADD", "-": "SUB", "*": "MUL", "/": "DIV", "^": "POW"}
-
-_SCALAR_NAMESPACE: dict[str, object] = {
-    "__builtins__": {},
-    "ADD": _add,
-    "SUB": _sub,
-    "MUL": _mul,
-    "DIV": _div,
-    "POW": _pow,
-}
-_SCALAR_NAMESPACE.update({f"F{name}": fn for name, fn in _FUNCTION_OPS.items()})
-
 
 @functools.cache
 def _array_namespace() -> dict[str, object]:
@@ -507,41 +497,49 @@ def _check_params(expr: Expression, params: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _scalar_code(expr: Expression) -> str:
+def _token(node: Expression, text: object, allowed: Collection[str]) -> str:
+    # the only text a tree puts into generated source: exactly one of `allowed`
+    if type(text) is str and text in allowed:
+        return text
+    raise TypeError(f"cannot compile {node!r}")
+
+
+def _scalar_code(expr: Expression, names: tuple[str, ...], consts: dict[str, object]) -> str:
+    """Source of `expr`; operation k's guard and node enter `consts` as O<k> and N<k>."""
     if isinstance(expr, Literal):
-        return repr(expr.value)
+        return repr(float(expr.value))
     if isinstance(expr, Variable):
-        return expr.name
+        return _token(expr, expr.name, names)
     if isinstance(expr, Unary):
-        return f"(- {_scalar_code(expr.operand)})"
+        return f"(- {_scalar_code(expr.operand, names, consts)})"
     if isinstance(expr, Binary):
-        return f"{_SCALAR_OPNAMES[expr.op]}({_scalar_code(expr.left)}, {_scalar_code(expr.right)})"
-    if isinstance(expr, Call):
-        return f"F{expr.func}({_scalar_code(expr.arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+        guard = _BINARY_OPS[_token(expr, expr.op, _BINARY_OPS)]
+        args = f"{_scalar_code(expr.left, names, consts)}, {_scalar_code(expr.right, names, consts)}"
+    elif isinstance(expr, Call):
+        guard = _FUNCTION_OPS[_token(expr, expr.func, _FUNCTION_OPS)]
+        args = _scalar_code(expr.arg, names, consts)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    k = len(consts) // 2
+    consts[f"O{k}"], consts[f"N{k}"] = guard, expr
+    return f"O{k}({args}, N{k})"
 
 
 def compile_scalar(expr: Expression, params: Sequence[str] = ("x", "y")) -> Callable[..., float]:
     """Compile a tree to a fast positional-argument callable.
 
     The result takes one float per name in `params` and is bit-identical
-    to `evaluate`: same values on success, same typed errors on failure
-    (failures are re-run through the tree walk so the error can name the
-    offending subtree).
+    to `evaluate`: same values on success, same typed errors on failure.
+    It calls the guards `evaluate` calls, each with its node, so an
+    error names the offending subtree without a second pass through the
+    tree.  Its `.source` is the generated lambda.
     """
     names = _check_params(expr, params)
-    source = f"lambda {', '.join(names)}: {_scalar_code(expr)}"
-    fn = eval(source, dict(_SCALAR_NAMESPACE))
-
-    def compiled(*args: float) -> float:
-        try:
-            return fn(*args)
-        except EvalError:
-            evaluate(expr, dict(zip(names, args)))
-            raise
-
-    compiled.source = source  # type: ignore[attr-defined]
-    return compiled
+    consts: dict[str, object] = {}
+    source = f"lambda {', '.join(names)}: {_scalar_code(expr, names, consts)}"
+    fn = eval(source, {"__builtins__": {}, **consts})
+    fn.source = source  # type: ignore[attr-defined]
+    return fn
 
 
 def _small_power(expr: Binary) -> int | None:
@@ -551,23 +549,24 @@ def _small_power(expr: Binary) -> int | None:
     return None
 
 
-def _array_code(expr: Expression) -> str:
+def _array_code(expr: Expression, names: tuple[str, ...]) -> str:
     if isinstance(expr, Literal):
         # a numpy scalar, so literal-only subtrees such as 1/0 also run under errstate
-        return f"F64({expr.value!r})"
+        return f"F64({float(expr.value)!r})"
     if isinstance(expr, Variable):
-        return expr.name
+        return _token(expr, expr.name, names)
     if isinstance(expr, Unary):
-        return f"(- {_array_code(expr.operand)})"
+        return f"(- {_array_code(expr.operand, names)})"
     if isinstance(expr, Binary):
-        if expr.op == "^":
+        op = _token(expr, expr.op, _BINARY_OPS)
+        if op == "^":
             power = _small_power(expr)
             if power:
-                return f"POW{power}({_array_code(expr.left)})"
-            return f"POW({_array_code(expr.left)}, {_array_code(expr.right)})"
-        return f"({_array_code(expr.left)} {expr.op} {_array_code(expr.right)})"
+                return f"POW{power}({_array_code(expr.left, names)})"
+            return f"POW({_array_code(expr.left, names)}, {_array_code(expr.right, names)})"
+        return f"({_array_code(expr.left, names)} {op} {_array_code(expr.right, names)})"
     if isinstance(expr, Call):
-        return f"F{expr.func}({_array_code(expr.arg)})"
+        return f"F{_token(expr, expr.func, FUNCTIONS)}({_array_code(expr.arg, names)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -709,7 +708,7 @@ def compile_array(expr: Expression, params: Sequence[str] = ("x", "y")) -> Calla
     import numpy as np
 
     names = _check_params(expr, params)
-    source = f"lambda {', '.join(names)}: {_array_code(expr)}"
+    source = f"lambda {', '.join(names)}: {_array_code(expr, names)}"
     fn = eval(source, dict(_array_namespace()))
 
     def compiled(*args) -> np.ndarray:

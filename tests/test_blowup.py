@@ -14,6 +14,8 @@ import pytest
 
 from illposed.blowup import (
     BlowupVerdict,
+    EvidenceRow,
+    _classify,
     estimate_blowup,
     report_json,
     threshold_crossing,
@@ -229,3 +231,21 @@ def test_an_overflowing_rhs_still_counts_as_an_escape():
     report = estimate_blowup(ivp, 2.0, h0=0.01)
     assert report.verdict is BlowupVerdict.BLOWUP_DETECTED
     assert report.bracket[0] < 1.0 < report.bracket[1]
+
+
+# --- the refinement rules of the judge --------------------------------------
+
+
+def test_crossings_that_move_right_under_refinement_are_inconclusive():
+    # 2e8*exp(-2x) crosses 1e8 ever later as h halves: 0.5, 1.0, 1.125, 1.4375
+    report = estimate_blowup(IVP(parse("2e8*exp(-2*x)"), 0.0, 1.0), 4.0, 1e8, 0.5, 4)
+    assert [row.crossing_x for row in report.evidence] == [0.5, 1.0, 1.125, 1.4375]
+    assert report.verdict is BlowupVerdict.INCONCLUSIVE
+    assert report.reason == "crossing abscissas do not decrease under refinement"
+    assert report.bracket is None
+
+
+def test_crossing_gaps_that_do_not_shrink_are_inconclusive():
+    # the crossings fall, but by 0.1, 0.05 and then 0.1 again
+    rows = tuple(EvidenceRow(h, c, None) for h, c in zip((0.1, 0.05, 0.025, 0.0125), (1.0, 0.9, 0.85, 0.75)))
+    assert _classify(rows) == ("inconclusive", "crossing gaps fail to shrink under refinement", None)

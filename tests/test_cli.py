@@ -376,6 +376,38 @@ def test_limit_csv_format(capsys):
     assert "t,x,y,f" in out
 
 
+def test_limit_csv_leaves_the_cells_of_an_undefined_path_point_empty(capsys):
+    # the level curve a = 0.1 divides by t - 0.1 at the schedule's first t
+    assert run(["limit", "--f", "x*y/(x+y)", "--level-curve", "0.1", "--trajectory", "t,t", "--format", "csv"]) == 0
+    out, err = out_of(capsys)
+    block = out.split("# trajectory: level curve a=0.1\n")[1].splitlines()
+    assert block[:3] == ["# status: Converged", "t,x,y,f", "0.10000000000000001,,,"]
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    ("rhs", "argv", "out"),
+    [
+        ("1e308*cos(y)", ["euler", "--h", "10", "--steps", "2", "--method", "rk4"], "n,x_n,y_n\n0,0,0\n"),
+        ("1e308*cos(y)", ["blowup", "--xmax", "100", "--h0", "10", "--levels", "3"], None),
+        ("1e308+(0-1)^y", ["euler", "--h", "10", "--steps", "2", "--method", "rk4"], "n,x_n,y_n\n0,0,0\n"),
+    ],
+    ids=["cos euler", "cos blowup", "power euler"],
+)
+def test_an_infinite_rk4_stage_is_an_escape(rhs, argv, out, capsys):
+    # RK4's stage y + 0.5*h*k1 overflows to inf.  cos(inf) raises an
+    # OverflowDomainError, and (-1)^inf is math.pow's 1.0, so the step
+    # itself overflows: either way the run stops as an escape at x0, not
+    # as a usage error or a traceback
+    code = run(argv[:1] + ["--rhs", rhs, "--x0", "0", "--y0", "0"] + argv[1:])
+    stdout, err = out_of(capsys)
+    assert (code, err) == (0, "")
+    if out is not None:
+        assert stdout == out
+    else:
+        assert json.loads(stdout)["verdict"] == "BlowupDetected"
+
+
 def test_limit_refuses_round_with_json(tmp_path, capsys):
     argv = ["limit", "--f", "x*y/(x+y)", "--trajectory", "t,t", "--level-curve", "1"]
     assert run(argv + ["--round", "3"]) == 1

@@ -347,6 +347,124 @@ def test_compiled_scalar_reports_domain_errors_with_node():
     assert exc.value.reason == "division by zero"
 
 
+def test_compiled_scalar_does_not_re_run_the_tree_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compile_scalar called evaluate")
+
+    monkeypatch.setattr("illposed.expr.evaluate", refuse)
+    tree = parse("1/(x-1)")
+    with pytest.raises(DomainError) as exc:
+        compile_scalar(tree, ("x",))(1.0)
+    assert exc.value.reason == "division by zero"
+    assert exc.value.node is tree
+
+
+def test_compiled_scalar_source_holds_no_text_from_the_tree():
+    # operation k calls its guard O<k> with its node N<k>
+    assert compile_scalar(parse("sin(x)/y"), ("x", "y")).source == "lambda x, y: O1(O0(x, N0), y, N1)"
+
+
+@pytest.mark.parametrize(
+    ("source", "x"),
+    [
+        ("1+1/(x-1)", 1.0),
+        ("ln(x-1)*2", 1.0),
+        ("sqrt(0-x)", 1.0),
+        ("(0-x)^0.5", 1.0),
+        ("x^(0-1)", 0.0),
+        ("x*1e308+1e308", 1.0),
+        ("0-1e308-x*1e308", 1.0),
+        ("x*1e308*10", 1.0),
+        ("1e308/x", 0.5),
+        ("x^1024", 2.0),
+        ("exp(x)", 710.0),
+        ("sin(x*1e308*10)", 1.0),
+    ],
+)
+def test_both_scalar_lanes_raise_the_same_error(source, x):
+    tree = parse(source)
+    errors = []
+    for run in (lambda: evaluate(tree, {"x": x}), lambda: compile_scalar(tree, ("x",))(x)):
+        with pytest.raises(DomainError) as exc:
+            run()
+        errors.append(exc.value)
+    walk, compiled = errors
+    assert type(compiled) is type(walk)
+    assert (compiled.reason, str(compiled)) == (walk.reason, str(walk))
+    assert compiled.node is walk.node
+
+
+@pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_a_periodic_function_of_an_infinite_value_overflows(func, x):
+    tree = parse(f"{func}(x)")
+    for run in (lambda: evaluate(tree, {"x": x}), lambda: compile_scalar(tree, ("x",))(x)):
+        with pytest.raises(OverflowDomainError) as exc:
+            run()
+        assert exc.value.reason == f"overflow in {func}"
+        assert exc.value.node is tree
+        assert str(exc.value) == f"overflow in {func} in '{func}(x)'"
+
+
+@pytest.mark.parametrize(
+    ("x", "y", "want"),
+    [(-1.0, math.inf, 1.0), (-0.5, math.inf, 0.0), (-2.0, -math.inf, 0.0), (-2.0, math.inf, None), (-0.5, -math.inf, None)],
+)
+def test_a_negative_base_under_an_infinite_exponent_follows_math_pow(x, y, want):
+    # math.floor(inf) raises OverflowError, so the non-integer test skips an infinite exponent
+    tree = parse("x^y")
+    for run in (lambda: evaluate(tree, {"x": x, "y": y}), lambda: compile_scalar(tree, ("x", "y"))(x, y)):
+        if want is None:
+            with pytest.raises(OverflowDomainError, match="^overflow in power in 'x\\^y'$"):
+                run()
+        else:
+            assert run() == want
+
+
+def _mkdir_payload(path):
+    # reaches os.mkdir through a class's globals, as code spliced into eval could
+    return (
+        "([c for c in ().__class__.__base__.__subclasses__() if c.__name__ == '_wrap_close'][0]"
+        f".__init__.__globals__['mkdir']({str(path)!r}) or 0)"
+    )
+
+
+@pytest.mark.parametrize("lane", ["scalar function", "array operator", "scalar variable", "array variable"])
+def test_compilers_refuse_a_hand_built_tree_that_splices_code(lane, tmp_path):
+    target = tmp_path / "made"
+    payload = _mkdir_payload(target)
+
+    class Name(str):
+        # equal to "x" and hashed like it, but formatted as code
+        def __format__(self, spec):
+            return f"x+0*{payload}"
+
+    compiler, tree = {
+        "scalar function": (compile_scalar, Call(f"sin(x)*0+{payload}*0+Fsin", Variable("x"))),
+        "array operator": (compile_array, Binary(f"+0*{payload}+", Variable("x"), Variable("y"))),
+        "scalar variable": (compile_scalar, Binary("+", Variable(Name("x")), Variable("y"))),
+        "array variable": (compile_array, Binary("+", Variable(Name("x")), Variable("y"))),
+    }[lane]
+    with pytest.raises(TypeError, match="^cannot compile"):
+        compiler(tree, ("x", "y"))(1.0, 2.0)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("compiler", [compile_scalar, compile_array])
+@pytest.mark.parametrize(
+    "tree",
+    [
+        Binary("%", Variable("x"), Variable("y")),
+        Binary("+-", Variable("x"), Variable("y")),
+        Call("floor", Variable("x")),
+        Call("Fsin", Variable("x")),
+    ],
+)
+def test_compilers_accept_only_the_grammar_s_operators_and_functions(compiler, tree):
+    with pytest.raises(TypeError, match="^cannot compile"):
+        compiler(tree, ("x", "y"))
+
+
 def test_compile_rejects_unbound_variables():
     with pytest.raises(UnboundVariableError):
         compile_scalar(parse("x+z"), ("x", "y"))

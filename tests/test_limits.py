@@ -251,6 +251,16 @@ def test_undefined_samples_are_skipped_with_notes():
     assert tl.notes[-1] == "fewer than 3 valid samples; no tail to judge"
 
 
+def test_an_undefined_path_point_is_skipped_with_a_note():
+    # the level curve a = 0.1 divides by t - 0.1 at the schedule's first t;
+    # the other eight samples still converge to a
+    tl = limit_along(parse(SADDLE), level_curve_trajectory(0.1))
+    assert tl.notes[0] == "t=0.1: path undefined (division by zero in '0.1*t/(t-0.1)')"
+    assert tuple(tl.samples[0]) == (0.1, None, None, None)
+    assert tl.status is PathStatus.CONVERGED
+    assert abs(tl.value - 0.1) < 1e-9
+
+
 def test_oscillation_is_inconclusive():
     tl = limit_along(parse("sin(1/x)"), line_trajectory(1.0))
     assert tl.status is PathStatus.INCONCLUSIVE

@@ -65,6 +65,7 @@ CASES = [
     ("integrate_rk4.n_steps", COUNT + (BIG,), lambda v: integrate_rk4(IVP0, 0.1, v)),
     ("variability_table.x_target", FINITE + (0.0, -1.0), lambda v: variability_table(IVP0, v, [0.1])),
     ("variability_table.step_sizes", STEP, lambda v: variability_table(IVP0, 1.0, [0.1, v])),
+    ("variability_table.step_sizes", ([],), lambda v: variability_table(IVP0, 1.0, v)),
     ("threshold_crossing.h", STEP, lambda v: threshold_crossing(IVP0, v, 2.0, 1e8)),
     ("threshold_crossing.x_max", FINITE + (0.0, -1.0), lambda v: threshold_crossing(IVP0, 0.1, v, 1e8)),
     ("threshold_crossing.threshold", POSITIVE, lambda v: threshold_crossing(IVP0, 0.1, 2.0, v)),
