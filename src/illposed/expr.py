@@ -36,6 +36,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -262,9 +263,9 @@ def parse(source: str) -> Expression:
 
 # --- guarded scalar arithmetic ---------------------------------------------
 #
-# evaluate() and compile_scalar() call these guards in the same order, which
-# makes the two paths bit-identical.  Each guard is passed the node it
-# evaluates and raises its error with that node.
+# evaluate(), _walk() and compile_scalar() call these guards in the same
+# order, which makes the three paths bit-identical.  Each guard is passed
+# the node it evaluates and raises its error with that node.
 
 
 def _add(a: float, b: float, node: Expression) -> float:
@@ -380,6 +381,27 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
         return _BINARY_OPS[expr.op](evaluate(expr.left, bindings), evaluate(expr.right, bindings), expr)
     if isinstance(expr, Call):
         return _FUNCTION_OPS[expr.func](evaluate(expr.arg, bindings), expr)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _walk(expr: Expression, columns: Mapping[str, Sequence[float]], n: int) -> list[float]:
+    """`evaluate` at n points, `columns` holding each variable's values: a node maps its guard over them.
+
+    Guards and operand order are evaluate's, so each value is evaluate's
+    bit for bit; an error is evaluate's at the first point its node fails.
+    """
+    if isinstance(expr, Literal):
+        return [expr.value] * n
+    if isinstance(expr, Variable):
+        if expr.name not in columns:
+            raise UnboundVariableError(expr.name, expr)
+        return list(map(float, columns[expr.name]))
+    if isinstance(expr, Unary):
+        return [-a for a in _walk(expr.operand, columns, n)]
+    if isinstance(expr, Binary):
+        return list(map(_BINARY_OPS[expr.op], _walk(expr.left, columns, n), _walk(expr.right, columns, n), repeat(expr, n)))
+    if isinstance(expr, Call):
+        return list(map(_FUNCTION_OPS[expr.func], _walk(expr.arg, columns, n), repeat(expr, n)))
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -504,10 +526,17 @@ def _token(node: Expression, text: object, allowed: Collection[str]) -> str:
     raise TypeError(f"cannot compile {node!r}")
 
 
+def _literal_code(node: Literal) -> str:
+    # repr spells a finite float as a number; inf and nan would be bare names
+    if type(node.value) is float and math.isfinite(node.value):
+        return repr(node.value)
+    raise TypeError(f"cannot compile {node!r}")
+
+
 def _scalar_code(expr: Expression, names: tuple[str, ...], consts: dict[str, object]) -> str:
     """Source of `expr`; operation k's guard and node enter `consts` as O<k> and N<k>."""
     if isinstance(expr, Literal):
-        return repr(float(expr.value))
+        return _literal_code(expr)
     if isinstance(expr, Variable):
         return _token(expr, expr.name, names)
     if isinstance(expr, Unary):
@@ -552,7 +581,7 @@ def _small_power(expr: Binary) -> int | None:
 def _array_code(expr: Expression, names: tuple[str, ...]) -> str:
     if isinstance(expr, Literal):
         # a numpy scalar, so literal-only subtrees such as 1/0 also run under errstate
-        return f"F64({float(expr.value)!r})"
+        return f"F64({_literal_code(expr)})"
     if isinstance(expr, Variable):
         return _token(expr, expr.name, names)
     if isinstance(expr, Unary):

@@ -35,6 +35,7 @@ from .expr import (
     Unary,
     Variable,
     _array_bounds,
+    _walk,
     compile_array,
     evaluate,
     parse,
@@ -261,30 +262,54 @@ def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:
     """Sample f along the path at each t of DEFAULT_SCHEDULE; _judge reads the samples.
 
     Samples where f or the path is undefined are skipped and noted, not
-    fatal.  The judge's note, if it gives one, is the last.
+    fatal.  The judge's note, if it gives one, is the last.  f is walked
+    once over the path's points (_sample); an undefined point is redone alone.
     """
+    return _sample(f, (trajectory,))[0]
+
+
+def _values(expr: Expression, columns: dict[str, Sequence[float]], n: int) -> list:
+    """expr at n points by one _walk; if it raises, evaluate's value or EvalError at each point."""
+    try:
+        return _walk(expr, columns, n)
+    except EvalError:
+        out: list = []
+        for i in range(n):
+            try:
+                out.append(evaluate(expr, {name: column[i] for name, column in columns.items()}))
+            except EvalError as err:
+                out.append(err)
+        return out
+
+
+def _sample(f: Expression, trajectories: Sequence[Trajectory2D]) -> tuple[TrajectoryLimit, ...]:
+    """Each path's TrajectoryLimit: x(t) and y(t) walked over DEFAULT_SCHEDULE, f over all paths' points."""
     _check.variables("f", ("x", "y"), f)
-    samples: list[LimitSample] = []
-    notes: list[str] = []
-    for t in DEFAULT_SCHEDULE:
-        try:
-            x = evaluate(trajectory.x_of_t, {"t": t})
-            y = evaluate(trajectory.y_of_t, {"t": t})
-        except EvalError as err:
-            samples.append(LimitSample(t, None, None, None))
-            notes.append(f"t={t:g}: path undefined ({err})")
-            continue
-        try:
-            value = evaluate(f, {"x": x, "y": y})
-        except EvalError as err:
-            samples.append(LimitSample(t, x, y, None))
-            notes.append(f"t={t:g}: f undefined ({err})")
-            continue
-        samples.append(LimitSample(t, x, y, value))
-    status, value, note = _judge(samples)
-    if note is not None:
-        notes.append(note)
-    return TrajectoryLimit(trajectory.label, status, value, tuple(samples), tuple(notes))
+    ts, n = {"t": DEFAULT_SCHEDULE}, len(DEFAULT_SCHEDULE)
+    # a point is (x, y), or the path's error there: x's where x is undefined, as evaluating x first gives
+    paths = [
+        [x if isinstance(x, EvalError) else y if isinstance(y, EvalError) else (x, y) for x, y in zip(xs, ys)]
+        for xs, ys in ((_values(tr.x_of_t, ts, n), _values(tr.y_of_t, ts, n)) for tr in trajectories)
+    ]
+    points = [p for path in paths for p in path if type(p) is tuple]
+    fs = iter(_values(f, {"x": [x for x, _ in points], "y": [y for _, y in points]}, len(points)))
+    results = []
+    for trajectory, path in zip(trajectories, paths):
+        samples, notes = [], []
+        for t, point in zip(DEFAULT_SCHEDULE, path):
+            if type(point) is not tuple:
+                samples.append(LimitSample(t, None, None, None))
+                notes.append(f"t={t:g}: path undefined ({point})")
+            elif isinstance(value := next(fs), EvalError):
+                samples.append(LimitSample(t, *point, None))
+                notes.append(f"t={t:g}: f undefined ({value})")
+            else:
+                samples.append(LimitSample(t, *point, value))
+        status, value, note = _judge(samples)
+        if note is not None:
+            notes.append(note)
+        results.append(TrajectoryLimit(trajectory.label, status, value, tuple(samples), tuple(notes)))
+    return tuple(results)
 
 
 def _judge(samples: Sequence[LimitSample]) -> tuple[PathStatus, float | None, str | None]:
@@ -338,14 +363,16 @@ def compare_trajectories(f: Expression, trajectories: Sequence[Trajectory2D]) ->
     Two converged paths whose limits differ by more than 1e-4 witness
     DoesNotExist.  If every path converges and all limits agree, the
     verdict is ConsistentValue, which deliberately stops short of
-    claiming the limit exists.  Everything else is Inconclusive.
+    claiming the limit exists.  Everything else is Inconclusive.  Each
+    path reads as in limit_along, but f is walked once per call over the
+    points of every path (_sample); an undefined point is redone alone.
     """
     if len(trajectories) < 2:
         raise ValueError("need at least two paths to compare")
     labels = [tr.label for tr in trajectories]
     if len(set(labels)) != len(labels):
         raise ValueError("path labels must be unique")
-    results = tuple(limit_along(f, tr) for tr in trajectories)
+    results = _sample(f, trajectories)
     converged = [(r.label, r.value) for r in results if r.status is PathStatus.CONVERGED]
 
     if len(converged) >= 2:

@@ -15,6 +15,7 @@ from illposed.expr import (
     Binary,
     Call,
     DomainError,
+    EvalError,
     ExpressionError,
     Literal,
     OverflowDomainError,
@@ -23,6 +24,7 @@ from illposed.expr import (
     UnboundVariableError,
     Variable,
     _array_bounds,
+    _walk,
     compile_array,
     compile_scalar,
     evaluate,
@@ -30,6 +32,7 @@ from illposed.expr import (
     parse,
     to_text,
 )
+from illposed.limits import _values
 
 
 def ev(source, **env):
@@ -458,6 +461,11 @@ def test_compilers_refuse_a_hand_built_tree_that_splices_code(lane, tmp_path):
         Binary("+-", Variable("x"), Variable("y")),
         Call("floor", Variable("x")),
         Call("Fsin", Variable("x")),
+        # literals that repr would write as the bare names inf and nan, or as an int
+        Binary("+", Variable("x"), Literal(math.inf)),
+        Call("sin", Literal(-math.inf)),
+        Binary("*", Literal(math.nan), Variable("y")),
+        Binary("*", Literal(2), Variable("y")),
     ],
 )
 def test_compilers_accept_only_the_grammar_s_operators_and_functions(compiler, tree):
@@ -677,3 +685,39 @@ def test_array_bounds_mark_void_only_where_the_lane_is_nan_throughout():
         lo, hi = _array_bounds(parse(text), whole)
         assert np.isnan(lo).all() and np.isnan(hi).all()
         assert np.isnan(compile_array(parse(text), ("x",))(np.linspace(-1.0, 1.0, 101))).all()
+
+
+# --- the column walk ------------------------------------------------------------
+
+
+def _same_error(got, want):
+    return type(got) is type(want) and (str(got), got.reason) == (str(want), want.reason) and got.node is want.node
+
+
+@given(trees(), st.lists(st.tuples(_ENDS, _ENDS), min_size=1, max_size=60))
+# the sign of a zero, and points where the walk raises: 1/x at 0 and -0, and an overflow
+@example(Unary(Variable("x")), [(0.0, 0.0), (-0.0, 1.0)])
+@example(parse("1/x+y"), [(1.0, 2.0), (0.0, 1.0), (-0.0, 1e-300), (2.0, -0.0)])
+@example(parse("x*1e300*y"), [(1e200, 1.0), (1.0, 1.0), (-1e200, 1e200)])
+@settings(max_examples=300, deadline=None)
+def test_the_column_walk_is_evaluate_at_every_point(tree, points):
+    columns = {"x": [x for x, _ in points], "y": [y for _, y in points]}
+    wants = []
+    for x, y in points:
+        try:
+            wants.append(evaluate(tree, {"x": x, "y": y}))
+        except EvalError as err:
+            wants.append(err)
+    try:
+        got = _walk(tree, columns, len(points))
+    except EvalError as err:
+        # evaluate's error at the first point where the failing node fails; the redo gives each point's own
+        first = next((want for want in wants if isinstance(want, EvalError) and want.node is err.node), None)
+        assert first is not None and _same_error(err, first)
+        got = _values(tree, columns, len(points))
+    assert len(got) == len(wants)
+    for value, want in zip(got, wants):
+        if isinstance(want, EvalError):
+            assert isinstance(value, EvalError) and _same_error(value, want)
+        else:
+            assert (type(value), value.hex()) == (type(want), want.hex())

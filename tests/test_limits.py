@@ -261,6 +261,13 @@ def test_an_undefined_path_point_is_skipped_with_a_note():
     assert abs(tl.value - 0.1) < 1e-9
 
 
+def test_where_x_and_y_are_both_undefined_the_note_names_x():
+    # x(t) is read first, so its error is the path's
+    tl = limit_along(parse("x*y"), trajectory_from_text("t*t/(t-0.1)+t", "t/(t-0.1)*t"))
+    assert tl.notes[0] == "t=0.1: path undefined (division by zero in 't*t/(t-0.1)')"
+    assert tuple(tl.samples[0]) == (0.1, None, None, None)
+
+
 def test_oscillation_is_inconclusive():
     tl = limit_along(parse("sin(1/x)"), line_trajectory(1.0))
     assert tl.status is PathStatus.INCONCLUSIVE
@@ -379,15 +386,40 @@ def test_witnesses_are_the_extreme_pair():
     assert high - low > AGREEMENT_TOL
 
 
-def test_compare_samples_through_limit_along_without_compiling(monkeypatch):
+@pytest.mark.parametrize(
+    ("source", "paths"),
+    [
+        (SADDLE, default_trajectories()),
+        # the level curve a = 0.1 is undefined at t = 0.1
+        (SADDLE, [line_trajectory(1.0), level_curve_trajectory(0.1), level_curve_trajectory(3.0)]),
+        # f is undefined on the whole of y = -x
+        ("1/(x+y)", [line_trajectory(-1.0), line_trajectory(1.0)]),
+        # f is undefined from t = 1e-4 on
+        ("sqrt(x-0.001)*y", [line_trajectory(1.0), line_trajectory(2.0)]),
+    ],
+    ids=["default", "path-undefined", "f-undefined-on-a-path", "f-undefined-at-some-t"],
+)
+def test_compare_samples_through_limit_along_without_compiling(monkeypatch, source, paths):
     def refuse(expr):
         raise AssertionError("path limits compiled an expression")
 
     monkeypatch.setattr("illposed.expr._scalar_code", refuse)
-    f = parse(SADDLE)
-    paths = default_trajectories()
+    f = parse(source)
     report = compare_trajectories(f, paths)
     assert report.paths == tuple(limit_along(f, p) for p in paths)
+
+
+def test_a_comparison_with_no_undefined_point_evaluates_only_the_origin_checks(monkeypatch):
+    # the README saddle paths; building them evaluates each at three t
+    f = parse(SADDLE)
+    paths = [trajectory_from_text("t", "t"), level_curve_trajectory(1.0), level_curve_trajectory(3.0)]
+    want = compare_trajectories(f, paths)
+
+    def refuse(*args):
+        raise AssertionError("path limits evaluated one point at a time")
+
+    monkeypatch.setattr("illposed.limits.evaluate", refuse)
+    assert compare_trajectories(f, paths) == want
 
 
 def test_duplicate_labels_are_rejected():
