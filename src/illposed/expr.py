@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -265,7 +266,10 @@ def parse(source: str) -> Expression:
 #
 # evaluate(), _walk() and compile_scalar() call these guards in the same
 # order, which makes the three paths bit-identical.  Each guard is passed
-# the node it evaluates and raises its error with that node.
+# the node it evaluates and raises its error with that node.  _RAW_OPS
+# holds the raw operation each guard checks, which _walk maps first:
+# operator.add, sub, mul and truediv, math.pow, math.sin, cos, tan, exp,
+# log and sqrt, and abs.
 
 
 def _add(a: float, b: float, node: Expression) -> float:
@@ -361,6 +365,29 @@ _FUNCTION_OPS: dict[str, Callable[[float, Expression], float]] = {
     "abs": lambda a, node: abs(a),
 }
 
+# Each guard's raw operation, which _walk maps first.  Where a guard
+# raises, its raw operation raises or is not finite: a zero divisor raises
+# ZeroDivisionError; math.pow raises ValueError for 0 to a negative power
+# and for a negative base with a non-integer exponent, OverflowError past
+# the doubles, and gives inf for 0^-inf; math.log and math.sqrt raise
+# ValueError on their domain errors.  One operand breaks this: math.pow
+# of a base of -inf to a negative non-integer is 0.0, where _pow raises;
+# only a caller's column or a hand-built literal can bring that base.
+_RAW_OPS: dict[str, Callable[..., float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+}
+
 
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     """Evaluate a tree under `bindings`, strictly.
@@ -385,10 +412,18 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
 
 
 def _walk(expr: Expression, columns: Mapping[str, Sequence[float]], n: int) -> list[float]:
-    """`evaluate` at n points, `columns` holding each variable's values: a node maps its guard over them.
+    """`evaluate` at n points, `columns` holding each variable's values: a node maps its operation over them.
 
-    Guards and operand order are evaluate's, so each value is evaluate's
-    bit for bit; an error is evaluate's at the first point its node fails.
+    A Binary or Call node first maps its raw operation (_RAW_OPS) over
+    its operand columns at C speed, and keeps that column if no call
+    raised ArithmeticError or ValueError and every value is finite;
+    otherwise it maps its guard.  This rests on one invariant: a guard
+    returns normally exactly when its raw operation returns a finite
+    value, and then it returns that same value.  Its one exception, ^ on
+    a base of -inf, maps the guard too.  So the guards stay the only
+    code here that raises or returns a value that is not finite, and
+    with evaluate's operand order each value is evaluate's bit for bit;
+    an error is evaluate's at the first point its node fails.
     """
     if isinstance(expr, Literal):
         return [expr.value] * n
@@ -397,12 +432,22 @@ def _walk(expr: Expression, columns: Mapping[str, Sequence[float]], n: int) -> l
             raise UnboundVariableError(expr.name, expr)
         return list(map(float, columns[expr.name]))
     if isinstance(expr, Unary):
-        return [-a for a in _walk(expr.operand, columns, n)]
+        return list(map(operator.neg, _walk(expr.operand, columns, n)))
     if isinstance(expr, Binary):
-        return list(map(_BINARY_OPS[expr.op], _walk(expr.left, columns, n), _walk(expr.right, columns, n), repeat(expr, n)))
-    if isinstance(expr, Call):
-        return list(map(_FUNCTION_OPS[expr.func], _walk(expr.arg, columns, n), repeat(expr, n)))
-    raise TypeError(f"not an expression node: {expr!r}")
+        guard, raw = _BINARY_OPS[expr.op], _RAW_OPS[expr.op]
+        operands = (_walk(expr.left, columns, n), _walk(expr.right, columns, n))
+    elif isinstance(expr, Call):
+        guard, raw = _FUNCTION_OPS[expr.func], _RAW_OPS[expr.func]
+        operands = (_walk(expr.arg, columns, n),)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    try:
+        out = list(map(raw, *operands))
+        if all(map(math.isfinite, out)) and not (raw is math.pow and -math.inf in operands[0]):
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    return list(map(guard, *operands, repeat(expr, n)))
 
 
 def free_variables(expr: Expression) -> frozenset[str]:

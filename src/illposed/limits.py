@@ -245,17 +245,24 @@ def level_curve_trajectory(a: float) -> Trajectory2D:
     return Trajectory2D(t, y, f"level curve a={_label_number(a)}")
 
 
+_T = Variable("t")
+_DEFAULT_PATHS = (
+    line_trajectory(1.0),
+    line_trajectory(-1.0),
+    Trajectory2D(_T, Binary("^", _T, Literal(2.0)), "y=x^2"),
+    Trajectory2D(_T, Call("sqrt", _T), "y=sqrt(t)"),
+    Trajectory2D(_T, Literal(0.0), "y=0"),
+    Trajectory2D(Literal(0.0), _T, "x=0"),
+)
+
+
 def default_trajectories() -> list[Trajectory2D]:
-    """Axes, both diagonals, a parabola and a square-root path."""
-    t = Variable("t")
-    return [
-        line_trajectory(1.0),
-        line_trajectory(-1.0),
-        Trajectory2D(t, Binary("^", t, Literal(2.0)), "y=x^2"),
-        Trajectory2D(t, Call("sqrt", t), "y=sqrt(t)"),
-        Trajectory2D(t, Literal(0.0), "y=0"),
-        Trajectory2D(Literal(0.0), t, "x=0"),
-    ]
+    """Axes, both diagonals, a parabola and a square-root path.
+
+    The paths are frozen, so they are built and origin-checked once, at
+    import; each call returns a fresh list of the same path objects.
+    """
+    return list(_DEFAULT_PATHS)
 
 
 def limit_along(f: Expression, trajectory: Trajectory2D) -> TrajectoryLimit:

@@ -701,6 +701,10 @@ def _same_error(got, want):
 @example(parse("x*1e300*y"), [(1e200, 1.0), (1.0, 1.0), (-1e200, 1e200)])
 @settings(max_examples=300, deadline=None)
 def test_the_column_walk_is_evaluate_at_every_point(tree, points):
+    _assert_walk_is_evaluate(tree, points)
+
+
+def _assert_walk_is_evaluate(tree, points):
     columns = {"x": [x for x, _ in points], "y": [y for _, y in points]}
     wants = []
     for x, y in points:
@@ -709,15 +713,51 @@ def test_the_column_walk_is_evaluate_at_every_point(tree, points):
         except EvalError as err:
             wants.append(err)
     try:
-        got = _walk(tree, columns, len(points))
+        walked = _walk(tree, columns, len(points))
     except EvalError as err:
         # evaluate's error at the first point where the failing node fails; the redo gives each point's own
         first = next((want for want in wants if isinstance(want, EvalError) and want.node is err.node), None)
         assert first is not None and _same_error(err, first)
-        got = _values(tree, columns, len(points))
+        walked = None
+    got = _values(tree, columns, len(points))
     assert len(got) == len(wants)
-    for value, want in zip(got, wants):
+    for i, (value, want) in enumerate(zip(got, wants)):
         if isinstance(want, EvalError):
-            assert isinstance(value, EvalError) and _same_error(value, want)
+            assert walked is None and isinstance(value, EvalError) and _same_error(value, want)
         else:
             assert (type(value), value.hex()) == (type(want), want.hex())
+            assert walked is None or walked[i].hex() == want.hex()
+
+
+# one case per way a raw column leaves the doubles, each between finite points:
+# the raw operation raises ZeroDivisionError, ValueError or OverflowError, or it
+# returns inf, -inf or nan, or a finite value its guard refuses
+@pytest.mark.parametrize(
+    "tree, points",
+    [
+        (parse("x/y"), [(1.0, 2.0), (3.0, 0.0), (5.0, 7.0)]),
+        (parse("x/y"), [(1.0, 2.0), (3.0, -0.0), (5.0, 7.0)]),
+        (parse("x^y"), [(2.0, 3.0), (0.0, -1.0), (1.5, 2.0)]),
+        (parse("x^y"), [(2.0, 3.0), (-8.0, 0.5), (1.5, 2.0)]),
+        (parse("x^y"), [(2.0, 3.0), (10.0, 400.0), (1.5, 2.0)]),
+        (parse("exp(x)"), [(1.0, 0.0), (710.0, 0.0), (2.0, 0.0)]),
+        (parse("ln(x)"), [(1.0, 0.0), (0.0, 0.0), (2.0, 0.0)]),
+        (parse("ln(x)"), [(1.0, 0.0), (-1.0, 0.0), (2.0, 0.0)]),
+        (parse("sqrt(x)"), [(1.0, 0.0), (-1.0, 0.0), (2.0, 0.0)]),
+        (parse("x+y"), [(1.0, 2.0), (1e308, 1e308), (3.0, 4.0)]),
+        (parse("x-y"), [(1.0, 2.0), (-1e308, 1e308), (3.0, 4.0)]),
+        (parse("x*y"), [(1.0, 2.0), (1e200, -1e200), (3.0, 4.0)]),
+        (parse("x/y"), [(1.0, 2.0), (1e300, 1e-300), (3.0, 4.0)]),
+        (Call("ln", Literal(math.inf)), [(1.0, 2.0), (3.0, 4.0)]),
+        # math.pow(-inf, -0.5) is 0.0 where the guard refuses a negative base
+        (parse("x^y"), [(2.0, 3.0), (-math.inf, -0.5), (1.5, 2.0)]),
+        (Binary("^", Unary(Call("ln", Literal(math.inf))), Variable("y")), [(1.0, -0.5), (3.0, -2.5)]),
+    ],
+    ids=[
+        "div-by-0", "div-by-minus-0", "pow-0-to-negative", "pow-negative-base", "pow-overflow", "exp-overflow",
+        "ln-0", "ln-negative", "sqrt-negative", "add-to-inf", "sub-to-minus-inf", "mul-to-minus-inf",
+        "div-to-inf", "ln-of-inf", "pow-minus-inf-base", "pow-minus-inf-inside",
+    ],
+)
+def test_a_column_that_leaves_the_doubles_is_redone_by_its_guard(tree, points):
+    _assert_walk_is_evaluate(tree, points)

@@ -132,6 +132,26 @@ def test_default_set_composition():
     assert labels == ["y=x", "y=-x", "y=x^2", "y=sqrt(t)", "y=0", "x=0"]
 
 
+def test_default_paths_are_built_once_and_each_call_returns_a_fresh_list():
+    from illposed.expr import Binary, Call, Literal, Unary, Variable
+
+    first, second = default_trajectories(), default_trajectories()
+    assert first is not second
+    assert len(first) == 6 and all(a is b for a, b in zip(first, second))
+    first.clear()
+    second.append(line_trajectory(2.0))
+    assert [tr.label for tr in default_trajectories()] == ["y=x", "y=-x", "y=x^2", "y=sqrt(t)", "y=0", "x=0"]
+    t = Variable("t")
+    assert default_trajectories() == [
+        Trajectory2D(t, Binary("*", Literal(1.0), t), "y=x"),
+        Trajectory2D(t, Binary("*", Unary(Literal(1.0)), t), "y=-x"),
+        Trajectory2D(t, Binary("^", t, Literal(2.0)), "y=x^2"),
+        Trajectory2D(t, Call("sqrt", t), "y=sqrt(t)"),
+        Trajectory2D(t, Literal(0.0), "y=0"),
+        Trajectory2D(Literal(0.0), t, "x=0"),
+    ]
+
+
 def test_trajectory_must_approach_the_origin():
     with pytest.raises(ValueError, match="approach the origin"):
         trajectory_from_text("t+1", "t")
