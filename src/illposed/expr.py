@@ -66,7 +66,6 @@ __all__ = [
     "compile_array",
 ]
 
-FUNCTIONS = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "abs"})
 CONSTANTS: dict[str, float] = {"pi": math.pi}
 
 # Nesting cap keeps the recursive-descent parser total: pathological
@@ -266,10 +265,7 @@ def parse(source: str) -> Expression:
 #
 # evaluate(), _walk() and compile_scalar() call these guards in the same
 # order, which makes the three paths bit-identical.  Each guard is passed
-# the node it evaluates and raises its error with that node.  _RAW_OPS
-# holds the raw operation each guard checks, which _walk maps first:
-# operator.add, sub, mul and truediv, math.pow, math.sin, cos, tan, exp,
-# log and sqrt, and abs.
+# the node it evaluates and raises its error with that node.
 
 
 def _add(a: float, b: float, node: Expression) -> float:
@@ -347,46 +343,35 @@ def _periodic(fn: Callable[[float], float]) -> Callable[[float, Expression], flo
     return guard
 
 
-_BINARY_OPS: dict[str, Callable[[float, float, Expression], float]] = {
-    "+": _add,
-    "-": _sub,
-    "*": _mul,
-    "/": _div,
-    "^": _pow,
-}
-
-_FUNCTION_OPS: dict[str, Callable[[float, Expression], float]] = {
-    "sin": _periodic(math.sin),
-    "cos": _periodic(math.cos),
-    "tan": _periodic(math.tan),
-    "exp": _exp,
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "abs": lambda a, node: abs(a),
-}
-
-# Each guard's raw operation, which _walk maps first.  Where a guard
-# raises, its raw operation raises or is not finite: a zero divisor raises
+# One record per operator and function of the grammar: its guard, the only
+# code that raises; the raw operation the guard checks, which _walk maps
+# first; and the numpy function compile_array calls, by name (None where
+# the array lane writes the operator infix).  Where a guard raises, its
+# raw operation raises or is not finite: a zero divisor raises
 # ZeroDivisionError; math.pow raises ValueError for 0 to a negative power
 # and for a negative base with a non-integer exponent, OverflowError past
 # the doubles, and gives inf for 0^-inf; math.log and math.sqrt raise
 # ValueError on their domain errors.  One operand breaks this: math.pow
 # of a base of -inf to a negative non-integer is 0.0, where _pow raises;
 # only a caller's column or a hand-built literal can bring that base.
-_RAW_OPS: dict[str, Callable[..., float]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
+_OPS: dict[str, tuple[Callable[..., float], Callable[..., float], str | None]] = {
+    "+": (_add, operator.add, None),
+    "-": (_sub, operator.sub, None),
+    "*": (_mul, operator.mul, None),
+    "/": (_div, operator.truediv, None),
+    "^": (_pow, math.pow, "power"),
+    "sin": (_periodic(math.sin), math.sin, "sin"),
+    "cos": (_periodic(math.cos), math.cos, "cos"),
+    "tan": (_periodic(math.tan), math.tan, "tan"),
+    "exp": (_exp, math.exp, "exp"),
+    "ln": (_ln, math.log, "log"),
+    "sqrt": (_sqrt, math.sqrt, "sqrt"),
+    "abs": (lambda a, node: abs(a), abs, "abs"),
 }
+_OPERATORS = frozenset("+-*/^")
+FUNCTIONS = frozenset(_OPS) - _OPERATORS
+# evaluate's one lookup per node
+_GUARDS = {name: record[0] for name, record in _OPS.items()}
 
 
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
@@ -405,16 +390,16 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     if isinstance(expr, Unary):
         return -evaluate(expr.operand, bindings)
     if isinstance(expr, Binary):
-        return _BINARY_OPS[expr.op](evaluate(expr.left, bindings), evaluate(expr.right, bindings), expr)
+        return _GUARDS[expr.op](evaluate(expr.left, bindings), evaluate(expr.right, bindings), expr)
     if isinstance(expr, Call):
-        return _FUNCTION_OPS[expr.func](evaluate(expr.arg, bindings), expr)
+        return _GUARDS[expr.func](evaluate(expr.arg, bindings), expr)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _walk(expr: Expression, columns: Mapping[str, Sequence[float]], n: int) -> list[float]:
     """`evaluate` at n points, `columns` holding each variable's values: a node maps its operation over them.
 
-    A Binary or Call node first maps its raw operation (_RAW_OPS) over
+    A Binary or Call node first maps its raw operation (_OPS) over
     its operand columns at C speed, and keeps that column if no call
     raised ArithmeticError or ValueError and every value is finite;
     otherwise it maps its guard.  This rests on one invariant: a guard
@@ -434,10 +419,10 @@ def _walk(expr: Expression, columns: Mapping[str, Sequence[float]], n: int) -> l
     if isinstance(expr, Unary):
         return list(map(operator.neg, _walk(expr.operand, columns, n)))
     if isinstance(expr, Binary):
-        guard, raw = _BINARY_OPS[expr.op], _RAW_OPS[expr.op]
+        guard, raw, _ = _OPS[expr.op]
         operands = (_walk(expr.left, columns, n), _walk(expr.right, columns, n))
     elif isinstance(expr, Call):
-        guard, raw = _FUNCTION_OPS[expr.func], _RAW_OPS[expr.func]
+        guard, raw, _ = _OPS[expr.func]
         operands = (_walk(expr.arg, columns, n),)
     else:
         raise TypeError(f"not an expression node: {expr!r}")
@@ -537,27 +522,23 @@ def _array_namespace() -> dict[str, object]:
     return {
         "__builtins__": {},
         "F64": np.float64,
-        "POW": np.power,
+        "POW": getattr(np, _OPS["^"][2]),
         "POW2": np.square,
         "POW3": lambda a: a * a * a,
         "POW4": lambda a: np.square(np.square(a)),
-        "Fsin": np.sin,
-        "Fcos": np.cos,
-        "Ftan": np.tan,
-        "Fexp": np.exp,
-        "Fln": np.log,
-        "Fsqrt": np.sqrt,
-        "Fabs": np.abs,
+        **{f"F{name}": getattr(np, _OPS[name][2]) for name in FUNCTIONS},
     }
 
 
 def _check_params(expr: Expression, params: Sequence[str]) -> tuple[str, ...]:
     names = tuple(params)
     for name in names:
-        if not name.isascii() or not name.isalpha() or not name.islower():
+        if type(name) is not str or not (name.isascii() and name.isalpha() and name.islower()):
             raise ValueError(f"parameter name {name!r} must be lowercase ASCII letters")
         if name in FUNCTIONS or name in CONSTANTS:
             raise ValueError(f"parameter name {name!r} shadows a built-in")
+        if names.count(name) > 1:
+            raise ValueError(f"parameter name {name!r} is repeated")
     missing = sorted(free_variables(expr) - set(names))
     if missing:
         raise UnboundVariableError(missing[0])
@@ -587,10 +568,10 @@ def _scalar_code(expr: Expression, names: tuple[str, ...], consts: dict[str, obj
     if isinstance(expr, Unary):
         return f"(- {_scalar_code(expr.operand, names, consts)})"
     if isinstance(expr, Binary):
-        guard = _BINARY_OPS[_token(expr, expr.op, _BINARY_OPS)]
+        guard = _OPS[_token(expr, expr.op, _OPERATORS)][0]
         args = f"{_scalar_code(expr.left, names, consts)}, {_scalar_code(expr.right, names, consts)}"
     elif isinstance(expr, Call):
-        guard = _FUNCTION_OPS[_token(expr, expr.func, _FUNCTION_OPS)]
+        guard = _OPS[_token(expr, expr.func, FUNCTIONS)][0]
         args = _scalar_code(expr.arg, names, consts)
     else:
         raise TypeError(f"not an expression node: {expr!r}")
@@ -632,7 +613,7 @@ def _array_code(expr: Expression, names: tuple[str, ...]) -> str:
     if isinstance(expr, Unary):
         return f"(- {_array_code(expr.operand, names)})"
     if isinstance(expr, Binary):
-        op = _token(expr, expr.op, _BINARY_OPS)
+        op = _token(expr, expr.op, _OPERATORS)
         if op == "^":
             power = _small_power(expr)
             if power:

@@ -24,6 +24,7 @@ from illposed.expr import (
     UnboundVariableError,
     Variable,
     _array_bounds,
+    _OPS,
     _walk,
     compile_array,
     compile_scalar,
@@ -367,6 +368,19 @@ def test_compiled_scalar_source_holds_no_text_from_the_tree():
     assert compile_scalar(parse("sin(x)/y"), ("x", "y")).source == "lambda x, y: O1(O0(x, N0), y, N1)"
 
 
+def test_both_compilers_source_of_every_operator_and_function():
+    # each array call is named F<name> after the grammar's function, not numpy's (Fln, not Flog)
+    tree = parse("sin(x)+cos(y)-tan(x)*exp(y)/ln(2+abs(y))+sqrt(1+x^2)^y")
+    assert compile_scalar(tree, ("x", "y")).source == (
+        "lambda x, y: O15(O10(O2(O0(x, N0), O1(y, N1), N2), O9(O5(O3(x, N3), O4(y, N4), N5), "
+        "O8(O7(2.0, O6(y, N6), N7), N8), N9), N10), O14(O13(O12(1.0, O11(x, 2.0, N11), N12), N13), y, N14), N15)"
+    )
+    assert compile_array(tree, ("x", "y")).source == (
+        "lambda x, y: (((Fsin(x) + Fcos(y)) - ((Ftan(x) * Fexp(y)) / Fln((F64(2.0) + Fabs(y))))) "
+        "+ POW(Fsqrt((F64(1.0) + POW2(x))), y))"
+    )
+
+
 @pytest.mark.parametrize(
     ("source", "x"),
     [
@@ -461,6 +475,10 @@ def test_compilers_refuse_a_hand_built_tree_that_splices_code(lane, tmp_path):
         Binary("+-", Variable("x"), Variable("y")),
         Call("floor", Variable("x")),
         Call("Fsin", Variable("x")),
+        # a name of the other kind: a function as an operator, an operator as a function
+        Binary("sin", Variable("x"), Variable("y")),
+        Call("+", Variable("x")),
+        Call("^", Variable("x")),
         # literals that repr would write as the bare names inf and nan, or as an int
         Binary("+", Variable("x"), Literal(math.inf)),
         Call("sin", Literal(-math.inf)),
@@ -483,6 +501,64 @@ def test_compile_rejects_bad_parameter_names():
         compile_scalar(parse("1"), ("sin",))
     with pytest.raises(ValueError):
         compile_scalar(parse("1"), ("X1",))
+
+
+@pytest.mark.parametrize("compiler", [compile_scalar, compile_array])
+@pytest.mark.parametrize("params", [("x", "x"), ("x", "y", "x"), (1,)])
+def test_compilers_refuse_a_repeated_or_non_string_parameter_name(compiler, params):
+    # refused before any source is built, not by eval's SyntaxError or an AttributeError
+    with pytest.raises(ValueError, match="^parameter name "):
+        compiler(parse("x+1"), params)
+
+
+@pytest.mark.parametrize("compiler", [compile_scalar, compile_array])
+def test_compilers_refuse_a_parameter_name_that_splices_code(compiler, tmp_path):
+    target = tmp_path / "made"
+
+    class Name(str):
+        # passes every name check as "x" would, but its text is a default argument running code
+        def isascii(self):
+            return True
+
+        isalpha = islower = isascii
+
+        def __eq__(self, other):
+            return other == "x"
+
+        def __hash__(self):
+            return hash("x")
+
+    with pytest.raises(ValueError, match="^parameter name "):
+        compiler(parse("x+1"), (Name(f"x={_mkdir_payload(target)}"),))
+    assert not target.exists()
+
+
+def test_each_guard_returns_its_raw_operation_s_finite_value():
+    # the invariant _walk rests on, record by record: wherever the raw operation returns a
+    # finite value, the guard returns it too, bit for bit; the one exception is a base of
+    # -inf under ^ with a negative non-integer exponent, where math.pow gives 0.0
+    big = sys.float_info.max
+    grid = [v for a in (0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 2.5, 3.0, 1e154, 1e300, big, math.inf) for v in (a, -a)]
+    grid += [709.0, 710.0, -745.0, -746.0, math.pi / 2, 1e22]
+    node = Variable("x")
+    finite, mismatches = 0, []
+    for name, (guard, raw, _) in _OPS.items():
+        for args in [(a,) for a in grid] if name.isalpha() else [(a, b) for a in grid for b in grid]:
+            try:
+                want = raw(*args)
+            except (ArithmeticError, ValueError):
+                continue
+            if not math.isfinite(want):
+                continue
+            finite += 1
+            try:
+                got = guard(*args, node).hex()
+            except EvalError:
+                got = None
+            if got != want.hex():
+                mismatches.append((name, args))
+    assert finite > 3500
+    assert sorted(mismatches) == sorted(("^", (-math.inf, b)) for b in grid if b < 0 and math.isfinite(b) and b != math.floor(b))
 
 
 def test_compiled_array_matches_scalar_bitwise_on_rational_ops():
